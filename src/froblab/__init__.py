@@ -1,7 +1,7 @@
 """froblab: exact level-p Frobenius and Sylvester numbers.
 
 Two independent routes to every quantity — closed forms where the
-Fibonacci/Lucas triple families admit them, and a brute-force Apery-set
+Fibonacci/Lucas triple families admit them, and an exact Apery-set
 oracle everywhere — plus the machinery to compare the routes against
 each other.
 """
@@ -9,6 +9,7 @@ each other.
 from .apery import (
     AperySet,
     DegenerateTupleError,
+    apery_levels,
     apery_set,
     p_frobenius,
     p_frobenius_scan,
@@ -64,6 +65,7 @@ __all__ = [
     "SequenceKind",
     "TripleParams",
     "TupleValidationError",
+    "apery_levels",
     "apery_set",
     "build_table",
     "closed_g",

@@ -12,17 +12,32 @@ exactly:
 * the number of non-negative integers with at most ``p`` representations
   is ``sum(elements)/a_1 - (a_1 - 1)/2``, always an integer.
 
-Alongside the Apery route this module ships an independent scan route
+The Apery route never counts representations.  Writing
+``n = x_1*a_1 + s`` with ``s`` a combination of ``a_2..a_l`` shows that
+``d(n)`` is the number of such ``s <= n`` with ``s ≡ n (mod a_1)``, so the
+level-p element of residue ``j`` is the ``(p+1)``-th smallest such ``s``
+(counted with multiplicity).  :func:`apery_levels` keeps the ``p+1``
+smallest values per residue and adds the generators one at a time with a
+round-robin walk over the cycles of ``+a_j mod a_1`` (Böcker & Lipták,
+"A fast and simple algorithm for the money changing problem", 2007, on
+the residue graph of Nijenhuis, 1979), extended from one value per
+residue to ``p+1``.  Each cycle takes two laps, each step a merge of two
+lists of at most ``p+1`` values, so one call gives every level ``0..p``
+for ``O(l*a_1*(p+1))`` integer operations, plus a sort of ``(p+1)^2``
+values per cycle.
+
+Alongside it this module ships an independent scan route
 (:func:`p_frobenius_scan`, :func:`p_sylvester_scan`) that works straight
-off the count table and never looks at residues.  The two routes share
-only the denumerant table; keeping both alive is the point — each checks
-the other.
+off the dense count table of :mod:`froblab.denumerant` and never looks at
+residues.  The two routes share no code; keeping both alive is the
+point — each checks the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Iterable
 
 from .denumerant import GeneratorTuple, denumerant_table
@@ -31,6 +46,7 @@ __all__ = [
     "DegenerateTupleError",
     "AperySet",
     "apery_set",
+    "apery_levels",
     "p_frobenius",
     "p_sylvester",
     "p_frobenius_scan",
@@ -75,25 +91,61 @@ class AperySet:
         return q
 
 
+def _merge(own: tuple[int, ...], prev: tuple[int, ...], a: int, keep: int) -> tuple[int, ...]:
+    """The ``keep`` smallest of ``own`` together with ``prev`` shifted by ``a``."""
+    return tuple(sorted(own + tuple(v + a for v in prev))[:keep])
+
+
 @lru_cache(maxsize=None)
-def _apery_elements(gens: tuple[int, ...], p: int) -> tuple[int, ...]:
+def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...], ...]:
+    """Apery elements of levels ``0..p_max``, one residue-indexed tuple each."""
     a1 = gens[0]
-    # With the two smallest generators coprime, every residue class is
-    # settled within (p+1)*a1*a2 (the two-generator worst case).  Tuples
-    # whose small generators share a factor can need more room, so the
-    # window widens geometrically until all residues are found.
-    cap = (p + 1) * gens[0] * gens[1]
-    while True:
-        counts = denumerant_table(cap, GeneratorTuple(gens)).counts
-        found: list[int] = [-1] * a1
-        missing = a1
-        for n, c in enumerate(counts):
-            if c > p and found[n % a1] < 0:
-                found[n % a1] = n
-                missing -= 1
-                if missing == 0:
-                    return tuple(found)
-        cap *= 2
+    keep = p_max + 1
+    # smallest[j]: the `keep` smallest combinations of the generators added
+    # so far that are ≡ j (mod a1), with multiplicity, ascending.
+    smallest: list[tuple[int, ...]] = [()] * a1
+    smallest[0] = (0,)
+    for a in gens[1:]:
+        # Adding a links residue j to j + a; the residues fall into cycles,
+        # and a full trip round one adds `lap`.
+        step = a % a1
+        cycles = gcd(step, a1)
+        length = a1 // cycles
+        lap = length * a
+        for start in range(cycles):
+            cycle = [(start + t * step) % a1 for t in range(length)]
+            # First lap: what reaches `start` from the other residues of the
+            # cycle (1..length-1 copies of a), plus what is there already.
+            reach: tuple[int, ...] = ()
+            for j in cycle[1:]:
+                reach = _merge(smallest[j], reach, a, keep)
+            reach = _merge(smallest[start], reach, a, keep)
+            # Anything else at `start` is one of these taken w >= 1 more times
+            # round the cycle; v + w*lap has w smaller values, so w < keep.
+            smallest[start] = tuple(
+                sorted(v + w * lap for v in reach for w in range(keep))[:keep]
+            )
+            # Second lap: each residue from its settled predecessor.
+            for prev, j in zip(cycle, cycle[1:]):
+                smallest[j] = _merge(smallest[j], smallest[prev], a, keep)
+    return tuple(tuple(vals[p] for vals in smallest) for p in range(keep))
+
+
+def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[AperySet, ...]:
+    """Level-``0..p_max`` Apery sets of ``gens`` from one residue walk.
+
+    Cached per ``(gens, p_max)``.  Raises :class:`DegenerateTupleError`
+    when the smallest generator is 1.
+    """
+    tup = _as_tuple(gens)
+    if p_max < 0:
+        raise ValueError(f"p_max must be >= 0, got {p_max}")
+    if tup.a1 == 1:
+        raise DegenerateTupleError(f"smallest generator of {tup} is 1")
+    return tuple(
+        AperySet(tup, p, elements)
+        for p, elements in enumerate(_apery_elements(tup.gens, p_max))
+    )
 
 
 def apery_set(gens: "GeneratorTuple | Iterable[int]", p: int) -> AperySet:
@@ -102,12 +154,9 @@ def apery_set(gens: "GeneratorTuple | Iterable[int]", p: int) -> AperySet:
     Raises :class:`DegenerateTupleError` when the smallest generator is 1
     (a single residue class, and ``frobenius`` would be meaningless).
     """
-    tup = _as_tuple(gens)
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
-    if tup.a1 == 1:
-        raise DegenerateTupleError(f"smallest generator of {tup} is 1")
-    return AperySet(tup, p, _apery_elements(tup.gens, p))
+    return apery_levels(gens, p)[p]
 
 
 def p_frobenius(gens: "GeneratorTuple | Iterable[int]", p: int) -> int:

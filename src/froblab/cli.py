@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .apery import DegenerateTupleError, apery_set, p_frobenius
+from .apery import DegenerateTupleError, apery_levels, apery_set, p_frobenius
 from .closed_forms import (
     NotCoveredError,
     closed_g,
@@ -70,15 +70,14 @@ class SweepSpec:
     p_hi: int = 4
     quantities: tuple[str, ...] = ("g",)
 
-    def points(self) -> list[tuple[str, int, int, int]]:
+    def triples(self) -> list[tuple[str, int, int]]:
         out = []
         for kind in self.kinds:
             for i in range(self.i_lo, self.i_hi + 1):
                 k_lo = _bound_at(self.k_lo, i)
                 k_hi = _bound_at(self.k_hi, i)
                 for k in range(max(k_lo, 3), k_hi + 1):
-                    for p in range(self.p_lo, self.p_hi + 1):
-                        out.append((kind, i, k, p))
+                    out.append((kind, i, k))
         return out
 
 
@@ -87,30 +86,32 @@ def _bound_at(bound: tuple[Optional[str], int], i: int) -> int:
     return (i + off) if sym == "i" else off
 
 
-def _sweep_point(task: tuple[tuple[str, int, int, int], tuple[str, ...]]) -> list[dict]:
-    (kind, i, k, p), quantities = task
-    aset = apery_set(triple(kind, i, k), p)
-    pr = params(kind, i, k, p)
+def _sweep_point(task: tuple[tuple[str, int, int], range, tuple[str, ...]]) -> list[dict]:
+    """Rows for one triple at every level of ``levels``, from one oracle call."""
+    (kind, i, k), levels, quantities = task
+    asets = apery_levels(triple(kind, i, k), levels[-1])
     rows = []
-    for qty in quantities:
-        res = closed_g(kind, i, k, p) if qty == "g" else closed_n(kind, i, k, p)
-        oracle = aset.frobenius() if qty == "g" else aset.sylvester()
-        rows.append(
-            {
-                "kind": kind,
-                "i": i,
-                "k": k,
-                "p": p,
-                "r": pr.r,
-                "ell": pr.ell,
-                "quantity": qty,
-                "closed_value": res.value,
-                "oracle_value": oracle,
-                "case_tag": str(res.tag),
-                "verbatim": res.tag.verbatim,
-                "match": (res.value == oracle) if res.covered else None,
-            }
-        )
+    for p in levels:
+        pr = params(kind, i, k, p)
+        for qty in quantities:
+            res = closed_g(kind, i, k, p) if qty == "g" else closed_n(kind, i, k, p)
+            oracle = asets[p].frobenius() if qty == "g" else asets[p].sylvester()
+            rows.append(
+                {
+                    "kind": kind,
+                    "i": i,
+                    "k": k,
+                    "p": p,
+                    "r": pr.r,
+                    "ell": pr.ell,
+                    "quantity": qty,
+                    "closed_value": res.value,
+                    "oracle_value": oracle,
+                    "case_tag": str(res.tag),
+                    "verbatim": res.tag.verbatim,
+                    "match": (res.value == oracle) if res.covered else None,
+                }
+            )
     return rows
 
 
@@ -207,14 +208,16 @@ def _csv_cell(v) -> str:
 def run_sweep(spec: SweepSpec, jobs: int = 1, progress: Optional[Callable[[str], None]] = None) -> VerifyReport:
     """Evaluate closed forms against the Apery oracle over a grid."""
     t0 = time.monotonic()
-    points = spec.points()
-    tasks = [(pt, spec.quantities) for pt in points]
+    levels = range(spec.p_lo, spec.p_hi + 1)
+    if levels and spec.p_lo < 0:
+        raise ValueError(f"p must be >= 0, got {spec.p_lo}")
+    tasks = [(t, levels, spec.quantities) for t in spec.triples()] if levels else []
     rows: list[dict] = []
     if jobs <= 1:
         for idx, task in enumerate(tasks):
             rows.extend(_sweep_point(task))
-            if progress and (idx + 1) % 50 == 0:
-                progress(f"{idx + 1}/{len(tasks)} points")
+            if progress and (idx + 1) % 10 == 0:
+                progress(f"{idx + 1}/{len(tasks)} triples")
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # pool.map preserves task order, so parallel output is

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .apery import AperySet, apery_set
+from .apery import AperySet, apery_levels
 from .closed_forms import TripleParams, params, triple
 from .denumerant import GeneratorTuple
 from .sequences import SequenceKind, fib
@@ -81,7 +81,7 @@ def build_table(kind: "SequenceKind | str", i: int, k: int, p_max: int) -> Resid
     tup = triple(kind, i, k)
     a1, a2, a3 = tup.gens
 
-    levels = tuple(apery_set(tup, q) for q in range(p_max + 1))
+    levels = apery_levels(tup, p_max)
     placed: dict[tuple[int, int], int] = {}
     for q, aset in enumerate(levels):
         for m in aset.elements:

@@ -10,6 +10,7 @@ of our independent routes disagree with it.
 """
 
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -202,3 +203,27 @@ def test_criterion_10_table_snapshots_byte_for_byte():
         want = (FIXTURES / name).read_text()
         assert got == want, f"{mode} mode drifted from fixture {name}"
     print("criterion 10: PASS — value and level renders match hand-built fixtures")
+
+
+def test_criterion_11_deep_grid_sweeps():
+    t0 = time.monotonic()
+    fib_report = run_sweep(
+        SweepSpec(("fib",), 3, 18, (None, 3), ("i", 5), 0, 8, ("g", "n")), jobs=1
+    )
+    lucas_report = run_sweep(
+        SweepSpec(("lucas",), 3, 16, (None, 3), ("i", 5), 0, 8, ("g", "n")), jobs=1
+    )
+    wall = time.monotonic() - t0
+    g_mismatches = [
+        r for rep in (fib_report, lucas_report) for r in rep.mismatches if r["quantity"] == "g"
+    ]
+    assert g_mismatches == [], g_mismatches
+    assert lucas_report.mismatches == [], lucas_report.to_text()
+    assert all(r["verbatim"] for r in fib_report.mismatches), fib_report.to_text()
+    by_tag = Counter(r["case_tag"] for r in fib_report.mismatches)
+    assert by_tag == {"N3/k=i+1": 15, "N3/k=i+2": 16}, by_tag
+    assert wall < 60.0, f"took {wall:.1f}s single-threaded"
+    print(
+        f"criterion 11: PASS — deep grid (fib i<=18, lucas i<=16, p<=8): g clean, "
+        f"n mismatches only on flagged verbatim branches ({dict(by_tag)}), {wall:.1f}s, jobs=1"
+    )

@@ -1,17 +1,18 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from froblab.apery import (
     DegenerateTupleError,
+    apery_levels,
     apery_set,
     p_frobenius,
     p_frobenius_scan,
     p_sylvester,
     p_sylvester_scan,
 )
-from froblab.denumerant import GeneratorTuple, denumerant
+from froblab.denumerant import GeneratorTuple, denumerant, denumerant_table
 
 F6_TRIPLE = GeneratorTuple.of(8, 21, 55)
 
@@ -100,7 +101,7 @@ TUPLE_POOL = [
     (2, 5, 7),
     (3, 4, 5),
     (5, 8, 9, 12),
-    (6, 10, 15),  # no coprime pair: exercises the widening cap
+    (6, 10, 15),  # no coprime pair: +10 and +15 split the residues mod 6 into cycles
     (8, 21, 55),
     (7, 11),
 ]
@@ -149,6 +150,41 @@ def test_completeness_and_agreement_on_random_tuples(gens, p):
     assert sorted(m % tup.a1 for m in aset.elements) == list(range(tup.a1))
     assert aset.frobenius() == p_frobenius_scan(tup, p)
     assert aset.sylvester() == p_sylvester_scan(tup, p)
+
+
+def _scan_elements(gens: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Least n with more than p representations in each residue class mod a_1,
+    read off the dense count table (the window doubles until all are found)."""
+    a1 = gens[0]
+    cap = (p + 1) * gens[0] * gens[1]
+    while True:
+        found: dict[int, int] = {}
+        for n, c in enumerate(denumerant_table(cap, gens).counts):
+            if c > p:
+                found.setdefault(n % a1, n)
+        if len(found) == a1:
+            return tuple(found[j] for j in range(a1))
+        cap *= 2
+
+
+coprime_tuples = (
+    st.lists(st.integers(min_value=2, max_value=30), min_size=2, max_size=5, unique=True)
+    .filter(lambda gens: gcd(*gens) == 1)
+    .map(lambda gens: tuple(sorted(gens)))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_tuples, st.integers(min_value=0, max_value=10))
+@example((6, 10, 15), 10)
+@example((4, 6, 9), 10)
+@example((7, 10, 12, 15), 10)
+def test_residue_walk_matches_dense_count_scan(gens, p_max):
+    levels = apery_levels(gens, p_max)
+    assert [aset.p for aset in levels] == list(range(p_max + 1))
+    for p, aset in enumerate(levels):
+        assert aset.elements == _scan_elements(gens, p), (gens, p)
+        assert aset.elements == apery_set(gens, p).elements
 
 
 def test_level_monotonicity_on_family_triples():

@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 from froblab import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +140,14 @@ def test_verify_reports_verbatim_mismatch_with_nonzero_exit(capsys):
     assert "N3/k=i+2" in out
 
 
+def test_verify_rejects_negative_level(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--kind", "fib", "--i", "3..4", "--k", "3..4", "--p=-1..1", "--quiet",
+    )
+    assert (code, out) == (2, "")
+    assert "p must be >= 0" in err
+
+
 def test_verify_json_summary(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--kind", "both", "--i", "3..4", "--k", "3..4",
@@ -260,6 +271,14 @@ def test_cache_dir_keeps_output_identical(tmp_path, monkeypatch, capsys):
 def test_installed_entry_point_runs():
     proc = subprocess.run(["froblab", "seq", "--kind", "fib", "--n", "10"],
                           capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "55\n"
+
+
+def test_module_entry_point_runs():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "froblab", "seq", "--kind", "fib", "--n", "10"],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "55\n"
 
