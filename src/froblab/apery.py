@@ -7,10 +7,12 @@ level-p Apery set.  From that one set both derived quantities follow
 exactly:
 
 * the largest integer with at most ``p`` representations is
-  ``max(elements) - a_1`` (``-1`` when every non-negative integer already
-  has more than ``p`` representations, which happens only for ``a_1 = 1``);
+  ``max(elements) - a_1``;
 * the number of non-negative integers with at most ``p`` representations
   is ``sum(elements)/a_1 - (a_1 - 1)/2``, always an integer.
+
+Tuples with ``a_1 = 1`` have a single residue class and are refused with
+:class:`DegenerateTupleError`; the scan route below accepts them.
 
 The Apery route never counts representations.  Writing
 ``n = x_1*a_1 + s`` with ``s`` a combination of ``a_2..a_l`` shows that
@@ -56,10 +58,6 @@ __all__ = [
 
 class DegenerateTupleError(ValueError):
     """The tuple contains 1, so every integer is representable at level 0."""
-
-
-def _as_tuple(gens: "GeneratorTuple | Iterable[int]") -> GeneratorTuple:
-    return gens if isinstance(gens, GeneratorTuple) else GeneratorTuple(gens)
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[Ap
     Cached per ``(gens, p_max)``.  Raises :class:`DegenerateTupleError`
     when the smallest generator is 1.
     """
-    tup = _as_tuple(gens)
+    tup = GeneratorTuple(gens)
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
     if tup.a1 == 1:
@@ -191,7 +189,7 @@ def p_frobenius_scan(gens: "GeneratorTuple | Iterable[int]", p: int) -> int:
     Returns ``-1`` when no non-negative integer has at most ``p``
     representations (only possible when 1 is a generator).
     """
-    tup = _as_tuple(gens)
+    tup = GeneratorTuple(gens)
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
     counts = _certified_counts(tup, p)
@@ -203,7 +201,7 @@ def p_frobenius_scan(gens: "GeneratorTuple | Iterable[int]", p: int) -> int:
 
 def p_sylvester_scan(gens: "GeneratorTuple | Iterable[int]", p: int) -> int:
     """Independent route: count qualifying integers directly."""
-    tup = _as_tuple(gens)
+    tup = GeneratorTuple(gens)
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
     counts = _certified_counts(tup, p)

@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 from .apery import DegenerateTupleError, apery_levels, apery_set, p_frobenius
 from .closed_forms import (
     NotCoveredError,
+    TripleParams,
     closed_g,
     closed_n,
     compute_g,
@@ -86,31 +87,40 @@ def _bound_at(bound: tuple[Optional[str], int], i: int) -> int:
     return (i + off) if sym == "i" else off
 
 
+def _row(
+    kind: str, i: int, k: int, p: int, pr: TripleParams, quantity: str,
+    closed: int, oracle: int, tag: str, verbatim: bool, match: Optional[bool],
+) -> dict:
+    """One report row: the CSV columns plus ``verbatim``."""
+    return {
+        "kind": kind,
+        "i": i,
+        "k": k,
+        "p": p,
+        "r": pr.r,
+        "ell": pr.ell,
+        "quantity": quantity,
+        "closed_value": closed,
+        "oracle_value": oracle,
+        "case_tag": tag,
+        "verbatim": verbatim,
+        "match": match,
+    }
+
+
 def _sweep_point(task: tuple[tuple[str, int, int], range, tuple[str, ...]]) -> list[dict]:
     """Rows for one triple at every level of ``levels``, from one oracle call."""
     (kind, i, k), levels, quantities = task
     asets = apery_levels(triple(kind, i, k), levels[-1])
+    pr = params(kind, i, k)  # r and ell do not depend on p
     rows = []
     for p in levels:
-        pr = params(kind, i, k, p)
         for qty in quantities:
             res = closed_g(kind, i, k, p) if qty == "g" else closed_n(kind, i, k, p)
             oracle = asets[p].frobenius() if qty == "g" else asets[p].sylvester()
+            match = (res.value == oracle) if res.covered else None
             rows.append(
-                {
-                    "kind": kind,
-                    "i": i,
-                    "k": k,
-                    "p": p,
-                    "r": pr.r,
-                    "ell": pr.ell,
-                    "quantity": qty,
-                    "closed_value": res.value,
-                    "oracle_value": oracle,
-                    "case_tag": str(res.tag),
-                    "verbatim": res.tag.verbatim,
-                    "match": (res.value == oracle) if res.covered else None,
-                }
+                _row(kind, i, k, p, pr, qty, res.value, oracle, str(res.tag), res.tag.verbatim, match)
             )
     return rows
 
@@ -245,22 +255,8 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
                 expected = gp_fib_two_gen(i, p)
                 oracle = p_frobenius(triple("fib", i, k), p)
                 pr = params("fib", i, k, p)
-                rows.append(
-                    {
-                        "kind": "fib",
-                        "i": i,
-                        "k": k,
-                        "p": p,
-                        "r": pr.r,
-                        "ell": pr.ell,
-                        "quantity": "g",
-                        "closed_value": expected,
-                        "oracle_value": oracle,
-                        "case_tag": f"Prop/k>=i+{h}",
-                        "verbatim": False,
-                        "match": expected == oracle,
-                    }
-                )
+                tag = f"Prop/k>=i+{h}"
+                rows.append(_row("fib", i, k, p, pr, "g", expected, oracle, tag, False, expected == oracle))
     return VerifyReport(rows, wall_s=time.monotonic() - t0)
 
 
@@ -284,12 +280,15 @@ def _parse_int_span(text: str) -> tuple[int, int]:
 
 
 def _parse_k_bound(tok: str) -> tuple[Optional[str], int]:
-    tok = tok.strip()
-    if "i" in tok:
-        rest = tok.replace("i", "", 1).replace(" ", "")
-        off = int(rest) if rest else 0
-        return ("i", off)
-    return (None, int(tok))
+    """``N``, ``i``, ``i+N`` or ``i-N``; whitespace is ignored."""
+    text = "".join(tok.split())
+    if text.isdecimal():
+        return (None, int(text))
+    if text == "i":
+        return ("i", 0)
+    if text[:2] in ("i+", "i-") and text[2:].isdecimal():
+        return ("i", int(text[1:]))
+    raise ValueError(f"bad k bound {tok!r}: expected N, i, i+N or i-N")
 
 
 def _parse_k_span(text: str) -> tuple[tuple[Optional[str], int], tuple[Optional[str], int]]:
@@ -406,8 +405,6 @@ def _cmd_table(args) -> int:
 
 def _cmd_exact(args) -> int:
     tup = _parse_gens(args.gens)
-    if tup.a1 == 1:
-        raise DegenerateTupleError(f"smallest generator of {tup} is 1")
     # Everything above g_p + a1 has more than p representations, and by
     # residue-class monotonicity nothing with exactly p can hide beyond
     # the level-p Apery ceiling.
@@ -503,7 +500,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _validate(args, parser: argparse.ArgumentParser) -> None:
     if args.command == "compute":
-        if (args.gens is None) == (args.kind is None):
+        if (args.gens is None) == (args.kind is None) or (
+            args.gens is not None and (args.i is not None or args.k is not None)
+        ):
             parser.error("compute needs --gens or (--kind --i --k), not both")
         if args.gens is None and (args.i is None or args.k is None):
             parser.error("--kind requires --i and --k")

@@ -8,12 +8,8 @@ floating point or modular.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from math import gcd
-from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
@@ -110,47 +106,12 @@ def _compute_counts(gens: tuple[int, ...], limit: int) -> list[int]:
     return counts
 
 
-def _cache_path(gens: tuple[int, ...], limit: int) -> Optional[Path]:
-    root = os.environ.get("FROBLAB_CACHE_DIR")
-    if not root:
-        return None
-    name = "den_" + "_".join(str(g) for g in gens) + f"_{limit}.json"
-    return Path(root) / name
-
-
 def denumerant_table(limit: int, gens: "GeneratorTuple | Iterable[int]") -> DenumerantTable:
-    """Counts for every ``n`` in ``0..limit`` (inclusive).
-
-    If ``FROBLAB_CACHE_DIR`` is set, tables are mirrored to disk under that
-    directory and reused across processes.  Caching is best-effort and
-    semantically invisible: unreadable or truncated entries are recomputed
-    and rewritten.
-    """
-    tup = gens if isinstance(gens, GeneratorTuple) else GeneratorTuple(gens)
+    """Counts for every ``n`` in ``0..limit`` (inclusive)."""
+    tup = GeneratorTuple(gens)
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-
-    path = _cache_path(tup.gens, limit)
-    if path is not None and path.exists():
-        try:
-            data = json.loads(path.read_text())
-            if isinstance(data, list) and len(data) == limit + 1:
-                return DenumerantTable(tup, limit, [int(c) for c in data])
-        except (ValueError, OSError):
-            pass  # fall through and recompute
-
-    counts = _compute_counts(tup.gens, limit)
-
-    if path is not None:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".part")
-            with os.fdopen(fd, "w") as fh:
-                json.dump(counts, fh)
-            os.replace(tmp, path)  # atomic publish; concurrent writers agree anyway
-        except OSError:
-            pass
-    return DenumerantTable(tup, limit, counts)
+    return DenumerantTable(tup, limit, _compute_counts(tup.gens, limit))
 
 
 def denumerant(n: int, gens: "GeneratorTuple | Iterable[int]") -> int:

@@ -33,9 +33,8 @@ WORKED = GeneratorTuple.of(8, 21, 55)
 
 
 @pytest.fixture(autouse=True)
-def cold_caches(monkeypatch):
-    """Make every timed criterion start from a cold in-memory/disk state."""
-    monkeypatch.delenv("FROBLAB_CACHE_DIR", raising=False)
+def cold_caches():
+    """Make every timed criterion start from a cold in-memory state."""
     _apery_elements.cache_clear()
 
 

@@ -86,10 +86,22 @@ def test_exit_usage_on_bad_arguments(capsys):
     assert run_cli(capsys, "compute", "--kind", "fib", "--i", "6")[0] == 2
 
 
+@pytest.mark.parametrize("extra", [("--i", "99"), ("--k", "1"), ("--i", "99", "--k", "1")])
+def test_compute_gens_rejects_family_flags(capsys, extra):
+    code, out, err = run_cli(capsys, "compute", "--gens", "8,21,55", *extra)
+    assert (code, out) == (2, "")
+    assert "not both" in err
+
+
 def test_exit_degenerate_tuple(capsys):
-    code, _, err = run_cli(capsys, "compute", "--gens", "1,3", "--p", "0")
-    assert code == 3
-    assert "degenerate" in err
+    for argv in (
+        ("compute", "--gens", "1,3", "--p", "0"),
+        ("exact", "--gens", "1,3", "--p", "0"),
+        ("compute", "--gens", "1,3", "--method", "closed"),  # 3 wins over 4
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert "degenerate" in err
 
 
 def test_exit_closed_form_not_covered(capsys):
@@ -142,6 +154,21 @@ def test_verify_reports_verbatim_mismatch_with_nonzero_exit(capsys):
     assert code == 1
     assert "MISMATCH [verbatim]" in out
     assert "N3/k=i+2" in out
+
+
+@pytest.mark.parametrize("k", ["3..2i", "3..i2", "i+..5", "3..j", "3..i+-1", "-3..4"])
+def test_verify_rejects_malformed_k_bound(capsys, k):
+    code, out, err = run_cli(
+        capsys, "verify", "--i", "3..4", f"--k={k}", "--p", "0..0", "--quiet",
+    )
+    assert (code, out) == (2, "")
+    assert "bad k bound" in err
+
+
+def test_k_bounds_that_parse():
+    assert cli._parse_k_span("3..i+5") == ((None, 3), ("i", 5))
+    assert cli._parse_k_span(" i - 1 .. i ") == (("i", -1), ("i", 0))
+    assert cli._parse_k_span("7") == ((None, 7), (None, 7))
 
 
 def test_verify_rejects_negative_level(capsys):
@@ -260,14 +287,13 @@ def test_seq_text_and_formats(capsys):
 # ------------------------------------------------------------- cache env var
 
 def test_cache_dir_keeps_output_identical(tmp_path, monkeypatch, capsys):
-    args = ["compute", "--gens", "8,21,55", "--p", "1", "--format", "json"]
-    _, plain, _ = run_cli(capsys, *args)
+    # Nothing reads FROBLAB_CACHE_DIR: setting it changes neither the
+    # output nor the directory.
+    args = ["exact", "--gens", "2,5,7", "--p", "17"]
+    plain = run_cli(capsys, *args)
     monkeypatch.setenv("FROBLAB_CACHE_DIR", str(tmp_path))
-    cli_module_state = list(tmp_path.iterdir())
-    assert cli_module_state == []
-    _, cached_cold, _ = run_cli(capsys, *args)
-    _, cached_warm, _ = run_cli(capsys, *args)
-    assert plain == cached_cold == cached_warm
+    assert run_cli(capsys, *args) == plain
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------- entry point

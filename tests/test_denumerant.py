@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,31 +132,3 @@ def test_largest_with_exactly_zero():
 def test_largest_rejects_negative_p():
     with pytest.raises(ValueError):
         largest_with_exactly_p((2, 3), -1, 10)
-
-
-# --------------------------------------------------------------- disk cache
-
-def test_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("FROBLAB_CACHE_DIR", str(tmp_path))
-    first = denumerant_table(60, (2, 5, 7))
-    files = list(tmp_path.glob("den_*.json"))
-    assert len(files) == 1
-    second = denumerant_table(60, (2, 5, 7))
-    assert second.counts == first.counts
-
-
-def test_cache_is_semantically_invisible(tmp_path, monkeypatch):
-    plain = denumerant_table(80, (3, 4, 5)).counts
-    monkeypatch.setenv("FROBLAB_CACHE_DIR", str(tmp_path))
-    assert denumerant_table(80, (3, 4, 5)).counts == plain
-    assert denumerant_table(80, (3, 4, 5)).counts == plain  # cached read
-
-
-def test_corrupt_cache_entry_recomputed(tmp_path, monkeypatch):
-    monkeypatch.setenv("FROBLAB_CACHE_DIR", str(tmp_path))
-    denumerant_table(40, (2, 3))
-    (entry,) = tmp_path.glob("den_*.json")
-    entry.write_text("{not json")
-    table = denumerant_table(40, (2, 3))
-    assert table.counts[0] == 1
-    assert json.loads(entry.read_text()) == table.counts  # rewritten healthy
