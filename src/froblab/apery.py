@@ -94,7 +94,7 @@ def _merge(own: tuple[int, ...], prev: tuple[int, ...], a: int, keep: int) -> tu
     return tuple(sorted(own + tuple(v + a for v in prev))[:keep])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...], ...]:
     """Apery elements of levels ``0..p_max``, one residue-indexed tuple each."""
     a1 = gens[0]
@@ -132,7 +132,9 @@ def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...],
 def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[AperySet, ...]:
     """Level-``0..p_max`` Apery sets of ``gens`` from one residue walk.
 
-    Cached per ``(gens, p_max)``.  Raises :class:`DegenerateTupleError`
+    Only the latest ``(gens, p_max)`` is cached: that is enough for a caller
+    that asks for ``g`` and then ``n`` of one tuple, and a sweep over many
+    tuples holds one walk at a time.  Raises :class:`DegenerateTupleError`
     when the smallest generator is 1.
     """
     tup = GeneratorTuple(gens)

@@ -6,7 +6,8 @@ timing go to stderr and are suppressed by ``--quiet``.
 
 Exit codes: 0 success, 1 verification found mismatches, 2 invalid
 arguments, 3 degenerate tuple (smallest generator is 1), 4 closed form
-demanded (``--method closed``) where none is covered.
+demanded (``--method closed``) where none is covered, 5 internal error
+(an invariant check failed; a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -46,6 +45,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_NOT_COVERED = 4
+EXIT_INTERNAL = 5
 
 _QUANTITIES = ("g", "n")
 
@@ -108,9 +108,8 @@ def _row(
     }
 
 
-def _sweep_point(task: tuple[tuple[str, int, int], range, tuple[str, ...]]) -> list[dict]:
+def _sweep_point(kind: str, i: int, k: int, levels: range, quantities: tuple[str, ...]) -> list[dict]:
     """Rows for one triple at every level of ``levels``, from one oracle call."""
-    (kind, i, k), levels, quantities = task
     asets = apery_levels(triple(kind, i, k), levels[-1])
     pr = params(kind, i, k)  # r and ell do not depend on p
     rows = []
@@ -215,25 +214,20 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1, progress: Optional[Callable[[str], None]] = None) -> VerifyReport:
+def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None) -> VerifyReport:
     """Evaluate closed forms against the Apery oracle over a grid."""
     t0 = time.monotonic()
     levels = range(spec.p_lo, spec.p_hi + 1)
+    triples = spec.triples() if levels else []
+    if triples and spec.i_lo < 3:
+        raise ValueError(f"i must be >= 3, got {spec.i_lo}")
     if levels and spec.p_lo < 0:
         raise ValueError(f"p must be >= 0, got {spec.p_lo}")
-    tasks = [(t, levels, spec.quantities) for t in spec.triples()] if levels else []
     rows: list[dict] = []
-    if jobs <= 1:
-        for idx, task in enumerate(tasks):
-            rows.extend(_sweep_point(task))
-            if progress and (idx + 1) % 10 == 0:
-                progress(f"{idx + 1}/{len(tasks)} triples")
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # pool.map preserves task order, so parallel output is
-            # byte-identical to the single-process run.
-            for out in pool.map(_sweep_point, tasks, chunksize=8):
-                rows.extend(out)
+    for idx, (kind, i, k) in enumerate(triples):
+        rows.extend(_sweep_point(kind, i, k, levels, spec.quantities))
+        if progress and (idx + 1) % 10 == 0:
+            progress(f"{idx + 1}/{len(triples)} triples")
     return VerifyReport(rows, wall_s=time.monotonic() - t0)
 
 
@@ -375,7 +369,7 @@ def _cmd_verify(args) -> int:
         p_lo, p_hi = _parse_int_span(args.p) if args.p else (0, 4)
         quantities = _QUANTITIES if args.what == "both" else (args.what,)
         spec = SweepSpec(kinds, i_lo, i_hi, k_lo, k_hi, p_lo, p_hi, quantities)
-        report = run_sweep(spec, jobs=args.jobs, progress=lambda m: _note(args, m))
+        report = run_sweep(spec, progress=lambda m: _note(args, m))
 
     if args.format == "json":
         _emit(report.to_json())
@@ -439,12 +433,6 @@ def _cmd_seq(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for sweeps (default: all available cores)",
-    )
     common.add_argument("--quiet", action="store_true", help="suppress stderr progress")
 
     parser = argparse.ArgumentParser(
@@ -474,6 +462,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--proposition",
         action="store_true",
         help="check pair-reduction thresholds instead of formula branches",
+    )
+    p_verify.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility and checked to be >= 1; sweeps run in one process",
     )
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -508,9 +502,7 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
             parser.error("--kind requires --i and --k")
         if args.p < 0:
             parser.error("--p must be >= 0")
-    if getattr(args, "jobs", None) is None:
-        args.jobs = os.cpu_count() or 1
-    elif args.jobs < 1:
+    if args.command == "verify" and args.jobs < 1:
         parser.error("--jobs must be >= 1")
 
 
@@ -537,6 +529,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"froblab: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"froblab: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -134,12 +134,8 @@ def test_criterion_05_exact_count_anecdote():
 
 def test_criterion_06_frobenius_sweeps_match_oracle():
     t0 = time.monotonic()
-    fib_report = run_sweep(
-        SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("g",)), jobs=1
-    )
-    lucas_report = run_sweep(
-        SweepSpec(("lucas",), 3, 10, (None, 3), ("i", 5), 0, 3, ("g",)), jobs=1
-    )
+    fib_report = run_sweep(SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("g",)))
+    lucas_report = run_sweep(SweepSpec(("lucas",), 3, 10, (None, 3), ("i", 5), 0, 3, ("g",)))
     wall = time.monotonic() - t0
     assert fib_report.mismatches == [], fib_report.to_text()
     assert lucas_report.mismatches == [], lucas_report.to_text()
@@ -147,14 +143,12 @@ def test_criterion_06_frobenius_sweeps_match_oracle():
     print(
         f"criterion 6: PASS — g sweeps clean "
         f"(fib {fib_report.covered} covered, lucas {lucas_report.covered} covered, "
-        f"{wall:.1f}s, jobs=1)"
+        f"{wall:.1f}s)"
     )
 
 
 def test_criterion_07_sylvester_sweep_reports_verbatim_branches():
-    report = run_sweep(
-        SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("n",)), jobs=1
-    )
+    report = run_sweep(SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("n",)))
     silent = [r for r in report.mismatches if not r["verbatim"]]
     assert silent == [], f"non-verbatim mismatches: {silent}"
     # the report itself is the deliverable for the two pinned branches
@@ -236,12 +230,8 @@ def test_criterion_10_table_snapshots_byte_for_byte():
 
 def test_criterion_11_deep_grid_sweeps():
     t0 = time.monotonic()
-    fib_report = run_sweep(
-        SweepSpec(("fib",), 3, 18, (None, 3), ("i", 5), 0, 8, ("g", "n")), jobs=1
-    )
-    lucas_report = run_sweep(
-        SweepSpec(("lucas",), 3, 16, (None, 3), ("i", 5), 0, 8, ("g", "n")), jobs=1
-    )
+    fib_report = run_sweep(SweepSpec(("fib",), 3, 18, (None, 3), ("i", 5), 0, 8, ("g", "n")))
+    lucas_report = run_sweep(SweepSpec(("lucas",), 3, 16, (None, 3), ("i", 5), 0, 8, ("g", "n")))
     wall = time.monotonic() - t0
     g_mismatches = [
         r for rep in (fib_report, lucas_report) for r in rep.mismatches if r["quantity"] == "g"
@@ -254,5 +244,5 @@ def test_criterion_11_deep_grid_sweeps():
     assert wall < 60.0, f"took {wall:.1f}s single-threaded"
     print(
         f"criterion 11: PASS — deep grid (fib i<=18, lucas i<=16, p<=8): g clean, "
-        f"n mismatches only on flagged verbatim branches ({dict(by_tag)}), {wall:.1f}s, jobs=1"
+        f"n mismatches only on flagged verbatim branches ({dict(by_tag)}), {wall:.1f}s"
     )

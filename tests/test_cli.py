@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from froblab import cli
+from froblab.apery import _apery_elements
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
@@ -179,6 +180,29 @@ def test_verify_rejects_negative_level(capsys):
     assert "p must be >= 0" in err
 
 
+@pytest.mark.parametrize("kind", ["fib", "lucas"])
+def test_verify_rejects_index_below_three(capsys, kind):
+    code, out, err = run_cli(
+        capsys, "verify", "--kind", kind, "--i", "2..3", "--k", "3..3", "--p", "0..0", "--quiet",
+    )
+    assert (code, out) == (2, "")
+    assert "i must be >= 3, got 2" in err
+    # an empty grid has no index to check
+    assert run_cli(capsys, "verify", "--kind", kind, "--i", "2..1", "--quiet")[0] == 0
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(*args):
+        raise AssertionError("invariant broke")
+
+    monkeypatch.setattr(cli, "_sweep_point", broken)
+    code, out, err = run_cli(
+        capsys, "verify", "--i", "3..3", "--k", "3..3", "--p", "0..0", "--quiet",
+    )
+    assert (code, out) == (5, "")
+    assert err == "froblab: internal error: invariant broke\n"
+
+
 def test_verify_json_summary(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--kind", "both", "--i", "3..4", "--k", "3..4",
@@ -210,6 +234,37 @@ def test_verify_deterministic_and_jobs_invariant(capsys):
     assert first == second
     _, parallel, _ = run_cli(capsys, *args, "--jobs", "2")
     assert parallel == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--i", "3..3", "--k", "3..3", "--jobs", "0"),
+        ("table", "--kind", "fib", "--i", "6", "--k", "4", "--jobs", "2"),
+        ("seq", "--kind", "fib", "--n", "10", "--jobs", "9"),
+    ],
+)
+def test_jobs_is_a_checked_verify_only_flag(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--quiet")
+    assert (code, out) == (2, "")
+
+
+# ---------------------------------------------------------------- oracle memo
+
+def test_sweep_keeps_one_oracle_walk():
+    cli.run_sweep(cli.SweepSpec(("fib",), 3, 3, (None, 3), (None, 5), 0, 2, ("g",)))
+    assert _apery_elements.cache_info().currsize <= 1
+
+
+def test_compute_both_walks_once(capsys):
+    _apery_elements.cache_clear()
+    code, _, _ = run_cli(
+        capsys, "compute", "--kind", "fib", "--i", "6", "--k", "4", "--p", "2",
+        "--what", "both", "--method", "oracle",
+    )
+    assert code == 0
+    info = _apery_elements.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # --------------------------------------------------------------------- table
@@ -305,6 +360,16 @@ def test_installed_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "55\n"
+
+
+def test_cli_import_stays_single_process():
+    code = ("import sys, froblab.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script_target_runs():
