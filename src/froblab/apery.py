@@ -23,10 +23,17 @@ smallest values per residue and adds the generators one at a time with a
 round-robin walk over the cycles of ``+a_j mod a_1`` (Böcker & Lipták,
 "A fast and simple algorithm for the money changing problem", 2007, on
 the residue graph of Nijenhuis, 1979), extended from one value per
-residue to ``p+1``.  Each cycle takes two laps, each step a merge of two
-lists of at most ``p+1`` values, so one call gives every level ``0..p``
-for ``O(l*a_1*(p+1))`` integer operations, plus a sort of ``(p+1)^2``
-values per cycle.
+residue to ``p+1``.  The first generator needs no walk: starting from
+``{0}``, residue ``t*a_2 mod a_1`` holds exactly ``t*a_2 + w*lap`` for
+``w <= p``, where ``lap`` is ``a_2`` times the length of its cycle.  Each
+later generator takes two laps per cycle.  The first is one selection: the
+``p+1`` smallest values that reach the cycle's start, taken over every
+value on the cycle at once.  The second walks the cycle once, merging each
+residue's list with its settled predecessor's shifted by ``a_j``, and skips
+the merge when the list is full and no arrival is smaller than its last
+value.  One call gives every level ``0..p`` for
+``O(l*a_1*(p+1)*log(p+1))`` integer operations, plus a sort of
+``(p+1)^2`` values per cycle; :data:`VALUE_BUDGET` bounds ``a_1*(p+1)``.
 
 Alongside it this module ships an independent scan route
 (:func:`p_frobenius_scan`, :func:`p_sylvester_scan`) that works straight
@@ -37,14 +44,17 @@ point — each checks the other.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 from typing import Iterable
 
 from .denumerant import GeneratorTuple, denumerant_table
 
 __all__ = [
+    "VALUE_BUDGET",
     "DegenerateTupleError",
     "AperySet",
     "apery_set",
@@ -54,6 +64,13 @@ __all__ = [
     "p_frobenius_scan",
     "p_sylvester_scan",
 ]
+
+
+# The most integers one computation may hold: residue values in the walk
+# (a_1 per level) or cells in the count table behind `froblab exact`.  Checked
+# before anything is allocated; the README gives the time and peak memory of
+# the largest family calls it admits.
+VALUE_BUDGET = 5_000_000
 
 
 class DegenerateTupleError(ValueError):
@@ -89,44 +106,65 @@ class AperySet:
         return q
 
 
-def _merge(own: tuple[int, ...], prev: tuple[int, ...], a: int, keep: int) -> tuple[int, ...]:
-    """The ``keep`` smallest of ``own`` together with ``prev`` shifted by ``a``."""
-    return tuple(sorted(own + tuple(v + a for v in prev))[:keep])
-
-
 @lru_cache(maxsize=1)
 def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...], ...]:
     """Apery elements of levels ``0..p_max``, one residue-indexed tuple each."""
-    a1 = gens[0]
+    a1, a = gens[0], gens[1]
     keep = p_max + 1
     # smallest[j]: the `keep` smallest combinations of the generators added
-    # so far that are ≡ j (mod a1), with multiplicity, ascending.
+    # so far that are ≡ j (mod a1), with multiplicity, ascending.  Adding a
+    # links residue j to j + a; the residues fall into cycles, and a full
+    # trip round one adds `lap`.
     smallest: list[tuple[int, ...]] = [()] * a1
-    smallest[0] = (0,)
-    for a in gens[1:]:
-        # Adding a links residue j to j + a; the residues fall into cycles,
-        # and a full trip round one adds `lap`.
+    step = a % a1
+    length = a1 // gcd(step, a1)
+    lap = length * a
+    # First generator, from {0}: the multiples of a at residue t*step are
+    # exactly t*a + w*lap, so that pass needs no merging.  They are built as
+    # sums, not range() items: CPython gives a multi-digit sum one spare
+    # digit, the later passes free these values for sums of that size, and
+    # range() values left the freed memory unused (peak RSS 129 MB, not
+    # 115 MB, at a1 = 121393, p = 10).
+    for t in range(length):
+        smallest[t * step % a1] = tuple(t * a + w * lap for w in range(keep))
+    for a in gens[2:]:
         step = a % a1
         cycles = gcd(step, a1)
         length = a1 // cycles
         lap = length * a
         for start in range(cycles):
             cycle = [(start + t * step) % a1 for t in range(length)]
-            # First lap: what reaches `start` from the other residues of the
-            # cycle (1..length-1 copies of a), plus what is there already.
-            reach: tuple[int, ...] = ()
-            for j in cycle[1:]:
-                reach = _merge(smallest[j], reach, a, keep)
-            reach = _merge(smallest[start], reach, a, keep)
+            # First lap: what reaches `start` from residue cycle[t] has gone
+            # (length - t) % length steps of a; keep the smallest overall.
+            reach = heapq.nsmallest(
+                keep,
+                (
+                    v + (length - t) % length * a
+                    for t, j in enumerate(cycle)
+                    for v in smallest[j]
+                ),
+            )
+            if not reach:  # no value on this cycle yet
+                continue
             # Anything else at `start` is one of these taken w >= 1 more times
             # round the cycle; v + w*lap has w smaller values, so w < keep.
-            smallest[start] = tuple(
+            prev = smallest[start] = tuple(
                 sorted(v + w * lap for v in reach for w in range(keep))[:keep]
             )
-            # Second lap: each residue from its settled predecessor.
-            for prev, j in zip(cycle, cycle[1:]):
-                smallest[j] = _merge(smallest[j], smallest[prev], a, keep)
-    return tuple(tuple(vals[p] for vals in smallest) for p in range(keep))
+            # Second lap: each residue from its settled predecessor.  A full
+            # list whose largest value is at most the least arrival is final.
+            for j in cycle[1:]:
+                own = smallest[j]
+                if len(own) < keep or own[-1] > prev[0] + a:
+                    merged = [v + a for v in prev]
+                    merged += own
+                    merged.sort()
+                    own = smallest[j] = tuple(merged[:keep])
+                prev = own
+    # One C-level pass per level.  zip(*smallest) is a little faster on
+    # small a1 but makes an iterator per residue: at p = 0 and a1 = 317811
+    # it raised the peak RSS from 58 MB to 75 MB.
+    return tuple(tuple(map(itemgetter(p), smallest)) for p in range(keep))
 
 
 def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[AperySet, ...]:
@@ -135,13 +173,19 @@ def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[Ap
     Only the latest ``(gens, p_max)`` is cached: that is enough for a caller
     that asks for ``g`` and then ``n`` of one tuple, and a sweep over many
     tuples holds one walk at a time.  Raises :class:`DegenerateTupleError`
-    when the smallest generator is 1.
+    when the smallest generator is 1, and ``ValueError`` before allocating
+    anything when ``a_1 * (p_max + 1)`` exceeds :data:`VALUE_BUDGET`.
     """
     tup = GeneratorTuple(gens)
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
     if tup.a1 == 1:
         raise DegenerateTupleError(f"smallest generator of {tup} is 1")
+    if tup.a1 * (p_max + 1) > VALUE_BUDGET:
+        raise ValueError(
+            f"{tup} at levels 0..{p_max} needs {tup.a1 * (p_max + 1)} residue values, "
+            f"over the budget of {VALUE_BUDGET}"
+        )
     return tuple(
         AperySet(tup, p, elements)
         for p, elements in enumerate(_apery_elements(tup.gens, p_max))

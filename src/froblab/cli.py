@@ -8,6 +8,11 @@ Exit codes: 0 success, 1 verification found mismatches, 2 invalid
 arguments, 3 degenerate tuple (smallest generator is 1), 4 closed form
 demanded (``--method closed``) where none is covered, 5 internal error
 (an invariant check failed; a bug, not bad input).
+
+Every command that walks residues refuses, with exit 2 and before
+allocating, a tuple whose ``a_1 * (p + 1)`` exceeds
+:data:`froblab.apery.VALUE_BUDGET` (5,000,000 values); ``exact`` refuses the
+same way when its count table would pass that many cells.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .apery import DegenerateTupleError, apery_levels, apery_set, p_frobenius
+from .apery import VALUE_BUDGET, DegenerateTupleError, apery_levels, apery_set, p_frobenius
 from .closed_forms import (
     NotCoveredError,
     TripleParams,
@@ -403,6 +408,8 @@ def _cmd_exact(args) -> int:
     # residue-class monotonicity nothing with exactly p can hide beyond
     # the level-p Apery ceiling.
     cap = max(apery_set(tup, args.p).elements)
+    if cap > VALUE_BUDGET:
+        raise ValueError(f"exact needs a count table up to {cap}, over the budget of {VALUE_BUDGET}")
     value = largest_with_exactly_p(tup, args.p, cap)
     if args.format == "json":
         doc = {"gens": list(tup.gens), "p": args.p, "value": value}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from .apery import AperySet, apery_levels
@@ -66,11 +67,14 @@ class ResidueTable:
 
 def _least_cell(m: int, a2: int, a3: int) -> Optional[tuple[int, int]]:
     """Lexicographically smallest ``(y, x)`` with ``x*a2 + y*a3 == m``."""
-    for y in range(m // a3 + 1):
-        rem = m - y * a3
-        if rem % a2 == 0:
-            return (rem // a2, y)
-    return None
+    d = gcd(a2, a3)
+    if m % d:
+        return None
+    # The least y >= 0 with y*a3 ≡ m (mod a2); any other solution has a larger y.
+    y = m // d * pow(a3 // d, -1, a2 // d) % (a2 // d)
+    if y * a3 > m:
+        return None
+    return ((m - y * a3) // a2, y)
 
 
 def build_table(kind: "SequenceKind | str", i: int, k: int, p_max: int) -> ResidueTable:
@@ -95,9 +99,12 @@ def build_table(kind: "SequenceKind | str", i: int, k: int, p_max: int) -> Resid
 
     ymax = max(y for _, y in placed)
     xmax = max(x for x, _ in placed)
-    row_extents = tuple(
-        max(x for (x, y2) in placed if y2 == y) for y in range(ymax + 1)
-    )
+    extents = [-1] * (ymax + 1)
+    for x, y in placed:
+        extents[y] = max(extents[y], x)
+    if -1 in extents:
+        raise AssertionError(f"row {extents.index(-1)} has no annotation")
+    row_extents = tuple(extents)
     cells = tuple(
         Cell(x, y, x * a2 + y * a3, (x * a2 + y * a3) % a1, placed.get((x, y)))
         for y in range(ymax + 1)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from froblab.apery import (
+    VALUE_BUDGET,
     DegenerateTupleError,
     apery_levels,
     apery_set,
@@ -185,6 +186,53 @@ def test_residue_walk_matches_dense_count_scan(gens, p_max):
     for p, aset in enumerate(levels):
         assert aset.elements == _scan_elements(gens, p), (gens, p)
         assert aset.elements == apery_set(gens, p).elements
+
+
+def _assert_walk_matches_scan(gens, p_max):
+    levels = apery_levels(gens, p_max)
+    assert len(levels) == p_max + 1
+    for p, aset in enumerate(levels):
+        assert len(aset.elements) == gens[0], (gens, p)
+        assert aset.elements == _scan_elements(gens, p), (gens, p)
+
+
+# Pairs run only the closed-form first pass; the triples make the later
+# passes split into several cycles (6,10,15 and 4,6,9 on both generators,
+# 2,4,5 with a second generator ≡ 0) or pile up equal values at one residue.
+@pytest.mark.parametrize(
+    "gens, p_max",
+    [
+        ((2, 3), 10),
+        ((7, 11), 10),
+        ((4, 9), 10),
+        ((4, 6, 9), 10),
+        ((6, 10, 15), 10),
+        ((3, 6, 7), 10),
+        ((2, 4, 5), 10),
+        ((3, 4, 6), 12),
+        ((2, 3, 6), 12),
+    ],
+)
+def test_walk_branches_match_dense_count_scan(gens, p_max):
+    _assert_walk_matches_scan(gens, p_max)
+
+
+def test_walk_matches_dense_count_scan_on_family_triples():
+    from froblab.closed_forms import triple
+
+    cases = [("fib", i) for i in range(3, 9)] + [("lucas", i) for i in range(3, 8)]
+    for kind, i in cases:
+        for k in range(3, i + 6):
+            _assert_walk_matches_scan(triple(kind, i, k).gens, 6)
+
+
+def test_walk_refuses_over_budget_before_allocating():
+    # a1 * (p_max + 1) values: 1000000007 here, far past the budget.
+    with pytest.raises(ValueError, match="over the budget"):
+        apery_levels((1000000007, 1000000009), 0)
+    a1 = VALUE_BUDGET // 11 + 1  # the least a1 refused at p_max = 10
+    with pytest.raises(ValueError, match="over the budget"):
+        apery_levels((a1, a1 + 1), 10)
 
 
 def test_level_monotonicity_on_family_triples():

@@ -117,6 +117,23 @@ def test_exit_closed_form_not_covered(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--gens", "1000000007,1000000009"),
+        ("compute", "--kind", "fib", "--i", "29", "--k", "4", "--p", "10", "--method", "oracle"),
+        ("table", "--kind", "lucas", "--i", "40", "--k", "3"),
+        ("verify", "--kind", "fib", "--i", "40..40", "--k", "3..3", "--p", "0..0", "--quiet"),
+        ("exact", "--gens", "2,1000000001", "--p", "0"),
+    ],
+)
+def test_over_budget_is_a_usage_error(capsys, argv):
+    # Every input here trips the estimate before anything is allocated.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "over the budget of 5000000" in err
+
+
 # -------------------------------------------------------------------- verify
 
 def test_verify_small_grid_text(capsys):

@@ -126,6 +126,19 @@ def test_duplicate_value_goes_to_smallest_row_then_column():
     assert _least_cell(3, 5, 8) is None
 
 
+@pytest.mark.parametrize("a2, a3", [(5, 8), (21, 55), (8, 5), (6, 9), (10, 15), (4, 6), (12, 18), (7, 7), (3, 12)])
+def test_least_cell_matches_linear_search(a2, a3):
+    def linear(m):
+        for y in range(m // a3 + 1):
+            if (m - y * a3) % a2 == 0:
+                return ((m - y * a3) // a2, y)
+        return None
+
+    expected = [linear(m) for m in range(3000)]
+    assert [_least_cell(m, a2, a3) for m in range(3000)] == expected
+    assert None in expected[:100]  # non-representable m are exercised
+
+
 def test_empty_table_renders_header_only():
     pr = params("fib", 6, 4, 0)
     empty = ResidueTable(pr, triple("fib", 6, 4), (), (), ())
