@@ -33,7 +33,8 @@ residue's list with its settled predecessor's shifted by ``a_j``, and skips
 the merge when the list is full and no arrival is smaller than its last
 value.  One call gives every level ``0..p`` for
 ``O(l*a_1*(p+1)*log(p+1))`` integer operations, plus a sort of
-``(p+1)^2`` values per cycle; :data:`VALUE_BUDGET` bounds ``a_1*(p+1)``.
+``(p+1)^2`` values per cycle; :data:`VALUE_BUDGET` bounds ``a_1*(p+2)``,
+the values plus one slot per residue for its list.
 
 Alongside it this module ships an independent scan route
 (:func:`p_frobenius_scan`, :func:`p_sylvester_scan`) that works straight
@@ -66,10 +67,10 @@ __all__ = [
 ]
 
 
-# The most integers one computation may hold: residue values in the walk
-# (a_1 per level) or cells in the count table behind `froblab exact`.  Checked
-# before anything is allocated; the README gives the time and peak memory of
-# the largest family calls it admits.
+# The most one residue walk may hold, counted as a_1*(p_max + 2): a_1 values
+# per level plus one per residue, whose own list costs about as much as 1.3
+# values.  Checked before anything is allocated; the README gives the time and
+# peak memory of the largest family calls it admits.
 VALUE_BUDGET = 5_000_000
 
 
@@ -174,16 +175,16 @@ def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[Ap
     that asks for ``g`` and then ``n`` of one tuple, and a sweep over many
     tuples holds one walk at a time.  Raises :class:`DegenerateTupleError`
     when the smallest generator is 1, and ``ValueError`` before allocating
-    anything when ``a_1 * (p_max + 1)`` exceeds :data:`VALUE_BUDGET`.
+    anything when ``a_1 * (p_max + 2)`` exceeds :data:`VALUE_BUDGET`.
     """
     tup = GeneratorTuple(gens)
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
     if tup.a1 == 1:
         raise DegenerateTupleError(f"smallest generator of {tup} is 1")
-    if tup.a1 * (p_max + 1) > VALUE_BUDGET:
+    if tup.a1 * (p_max + 2) > VALUE_BUDGET:
         raise ValueError(
-            f"{tup} at levels 0..{p_max} needs {tup.a1 * (p_max + 1)} residue values, "
+            f"{tup} at levels 0..{p_max} needs a_1*(p_max+2) = {tup.a1 * (p_max + 2)}, "
             f"over the budget of {VALUE_BUDGET}"
         )
     return tuple(

@@ -9,10 +9,11 @@ arguments, 3 degenerate tuple (smallest generator is 1), 4 closed form
 demanded (``--method closed``) where none is covered, 5 internal error
 (an invariant check failed; a bug, not bad input).
 
-Every command that walks residues refuses, with exit 2 and before
-allocating, a tuple whose ``a_1 * (p + 1)`` exceeds
-:data:`froblab.apery.VALUE_BUDGET` (5,000,000 values); ``exact`` refuses the
-same way when its count table would pass that many cells.
+Every command answers from one residue walk (``exact`` too, from levels
+``p - 1`` and ``p``), which refuses, with exit 2 and before allocating, a
+tuple whose ``a_1 * (p + 2)`` exceeds :data:`froblab.apery.VALUE_BUDGET`
+(5,000,000).  A sequence index above :data:`froblab.sequences.MAX_INDEX`
+(20,000) is refused the same way.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .apery import VALUE_BUDGET, DegenerateTupleError, apery_levels, apery_set, p_frobenius
+from .apery import DegenerateTupleError, apery_levels, apery_set, p_frobenius
 from .closed_forms import (
     NotCoveredError,
     TripleParams,
@@ -39,7 +40,7 @@ from .closed_forms import (
     proposition_h,
     triple,
 )
-from .denumerant import GeneratorTuple, TupleValidationError, largest_with_exactly_p
+from .denumerant import GeneratorTuple, TupleValidationError
 from .sequences import SequenceKind, seq
 from .tables import build_table, export_json, render_ascii
 
@@ -404,13 +405,11 @@ def _cmd_table(args) -> int:
 
 def _cmd_exact(args) -> int:
     tup = _parse_gens(args.gens)
-    # Everything above g_p + a1 has more than p representations, and by
-    # residue-class monotonicity nothing with exactly p can hide beyond
-    # the level-p Apery ceiling.
-    cap = max(apery_set(tup, args.p).elements)
-    if cap > VALUE_BUDGET:
-        raise ValueError(f"exact needs a count table up to {cap}, over the budget of {VALUE_BUDGET}")
-    value = largest_with_exactly_p(tup, args.p, cap)
+    # In residue class j, d(n) counts the levels q with e_q(j) <= n, so with
+    # e_{-1} := 0 the largest n there with exactly p is e_p(j) - a1 if >= e_{p-1}(j).
+    levels = [s.elements for s in apery_levels(tup, args.p)]
+    below = levels[-2] if args.p else (0,) * tup.a1
+    value = max((top - tup.a1 for low, top in zip(below, levels[-1]) if top - low >= tup.a1), default=None)
     if args.format == "json":
         doc = {"gens": list(tup.gens), "p": args.p, "value": value}
         _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -507,8 +506,8 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
             parser.error("compute needs --gens or (--kind --i --k), not both")
         if args.gens is None and (args.i is None or args.k is None):
             parser.error("--kind requires --i and --k")
-        if args.p < 0:
-            parser.error("--p must be >= 0")
+    if args.command in ("compute", "exact") and args.p < 0:
+        parser.error("--p must be >= 0")
     if args.command == "verify" and args.jobs < 1:
         parser.error("--jobs must be >= 1")
 

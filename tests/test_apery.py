@@ -227,12 +227,13 @@ def test_walk_matches_dense_count_scan_on_family_triples():
 
 
 def test_walk_refuses_over_budget_before_allocating():
-    # a1 * (p_max + 1) values: 1000000007 here, far past the budget.
+    # a1 * (p_max + 2): 2000000014 here, far past the budget.
     with pytest.raises(ValueError, match="over the budget"):
         apery_levels((1000000007, 1000000009), 0)
-    a1 = VALUE_BUDGET // 11 + 1  # the least a1 refused at p_max = 10
-    with pytest.raises(ValueError, match="over the budget"):
-        apery_levels((a1, a1 + 1), 10)
+    # the least a1 refused at p_max = 10, and at p_max = 0
+    for a1, p_max in ((VALUE_BUDGET // 12 + 1, 10), (VALUE_BUDGET // 2 + 1, 0)):
+        with pytest.raises(ValueError, match="over the budget"):
+            apery_levels((a1, a1 + 1), p_max)
 
 
 def test_level_monotonicity_on_family_triples():

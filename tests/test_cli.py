@@ -1,16 +1,22 @@
+import contextlib
 import csv
+import importlib
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from froblab import cli
-from froblab.apery import _apery_elements
+from froblab import cli, sequences
+from froblab.apery import _apery_elements, p_frobenius
+from froblab.denumerant import largest_with_exactly_p
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,6 +91,7 @@ def test_exit_usage_on_bad_arguments(capsys):
     assert run_cli(capsys, "compute", "--gens", "abc")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys, "compute", "--kind", "fib", "--i", "6")[0] == 2
+    assert run_cli(capsys, "exact", "--gens", "2,5,7", "--p", "-1")[0] == 2
 
 
 @pytest.mark.parametrize("extra", [("--i", "99"), ("--k", "1"), ("--i", "99", "--k", "1")])
@@ -124,14 +131,20 @@ def test_exit_closed_form_not_covered(capsys):
         ("compute", "--kind", "fib", "--i", "29", "--k", "4", "--p", "10", "--method", "oracle"),
         ("table", "--kind", "lucas", "--i", "40", "--k", "3"),
         ("verify", "--kind", "fib", "--i", "40..40", "--k", "3..3", "--p", "0..0", "--quiet"),
-        ("exact", "--gens", "2,1000000001", "--p", "0"),
+        ("exact", "--gens", "1000000007,1000000009", "--p", "0"),
     ],
 )
 def test_over_budget_is_a_usage_error(capsys, argv):
     # Every input here trips the estimate before anything is allocated.
-    code, out, err = run_cli(capsys, *argv)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (code, out) == (2, "")
     assert "over the budget of 5000000" in err
+    assert peak < 10_000_000
 
 
 # -------------------------------------------------------------------- verify
@@ -339,11 +352,41 @@ def test_exact_examples(capsys):
     assert code == 0 and out.strip().endswith("42")
     code, out, _ = run_cli(capsys, "exact", "--gens", "2,5,7", "--p", "22")
     assert code == 0 and out.strip().endswith("none")
+    # a pair's level-0 value, 2*1000000001 - 2 - 1000000001, from two residues
+    code, out, _ = run_cli(capsys, "exact", "--gens", "2,1000000001", "--p", "0")
+    assert code == 0 and out.strip().endswith(" 999999999")
 
 
 def test_exact_json(capsys):
     code, out, _ = run_cli(capsys, "exact", "--gens", "2,5,7", "--p", "22", "--format", "json")
     assert json.loads(out)["value"] is None
+
+
+exact_tuples = (
+    st.lists(st.integers(min_value=2, max_value=60), min_size=2, max_size=4, unique=True)
+    .filter(lambda gens: gcd(*gens) == 1)
+    .map(lambda gens: tuple(sorted(gens)))
+)
+
+
+# (2,5,7) at p = 18 and 22 needs e_p(j) - a1 >= e_{p-1}(j): without it they
+# give 43 and 48, not 42 and none.  (3,4,5) has levels 4 and 5 sharing 20.
+@settings(max_examples=80, deadline=None)
+@given(exact_tuples, st.integers(min_value=0, max_value=8))
+@example((2, 5, 7), 17)
+@example((2, 5, 7), 18)
+@example((2, 5, 7), 22)
+@example((3, 4, 5), 4)
+@example((3, 4, 5), 5)
+@example((3, 4, 5), 6)
+def test_exact_matches_count_table(gens, p):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["exact", "--gens", ",".join(map(str, gens)), "--p", str(p), "--format", "json"])
+    assert code == 0
+    # nothing above g_p has as few as p representations
+    want = largest_with_exactly_p(gens, p, p_frobenius(gens, p) + gens[0])
+    assert json.loads(out.getvalue())["value"] == want, (gens, p)
 
 
 # ----------------------------------------------------------------------- seq
@@ -354,6 +397,50 @@ def test_seq_text_and_formats(capsys):
     assert json.loads(out) == {"kind": "lucas", "n": 0, "value": 2}
     code, out, _ = run_cli(capsys, "seq", "--kind", "fib", "--n", "6", "--format", "csv")
     assert out == "kind,n,value\nfib,6,8\n"
+
+
+# ------------------------------------------------------- no count table (DP)
+
+def test_cli_paths_build_no_count_table(capsys, monkeypatch):
+    # The dense count table is the tests' cross-check; no command may need it.
+    def no_dp(*args):
+        raise RuntimeError("count table built")
+
+    # (the package's `denumerant` attribute is the function, not the module)
+    monkeypatch.setattr(importlib.import_module("froblab.denumerant"), "_compute_counts", no_dp)
+    for argv in (
+        ("exact", "--gens", "2,5,7", "--p", "17"),
+        ("compute", "--gens", "8,21,55", "--p", "2"),
+        ("compute", "--kind", "lucas", "--i", "5", "--k", "4", "--p", "2", "--method", "oracle"),
+        ("verify", "--kind", "both", "--i", "3..4", "--k", "3..i+1", "--p", "0..2",
+         "--what", "both", "--quiet"),
+        ("table", "--kind", "fib", "--i", "6", "--k", "4", "--pmax", "4"),
+    ):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+
+
+# -------------------------------------------------------------- index bound
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "--kind", "fib", "--n", "100000000"),
+        ("compute", "--kind", "fib", "--i", "1000000", "--k", "4"),
+    ],
+)
+def test_index_over_bound_is_refused_before_caching(capsys, argv):
+    cached = len(sequences._fib_terms)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "over the bound of 20000" in err
+    assert len(sequences._fib_terms) == cached
+
+
+@pytest.mark.parametrize("kind", ["fib", "lucas"])
+def test_index_at_bound_still_prints(capsys, kind):
+    code, out, _ = run_cli(capsys, "seq", "--kind", kind, "--n", "20000")
+    assert code == 0
+    assert len(out) == 4180 + 1  # 4,180 digits and a newline
 
 
 # ------------------------------------------------------------- cache env var
