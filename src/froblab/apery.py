@@ -46,11 +46,10 @@ point — each checks the other.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .denumerant import GeneratorTuple, denumerant_table
 
@@ -78,8 +77,7 @@ class DegenerateTupleError(ValueError):
     """The tuple contains 1, so every integer is representable at level 0."""
 
 
-@dataclass(frozen=True)
-class AperySet:
+class AperySet(NamedTuple):
     """The level-``p`` Apery elements, indexed by residue mod ``a_1``.
 
     ``elements[j]`` is the least ``n ≡ j (mod a_1)`` with more than ``p``

@@ -19,13 +19,10 @@ tuple whose ``a_1 * (p + 2)`` exceeds :data:`froblab.apery.VALUE_BUDGET`
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .apery import DegenerateTupleError, apery_levels, apery_set, p_frobenius
 from .closed_forms import (
@@ -59,8 +56,7 @@ _QUANTITIES = ("g", "n")
 # ----------------------------------------------------------------------
 # sweep machinery (used by the `verify` command and by the test suite)
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     """A verification grid.
 
     ``k`` bounds may depend on ``i`` (the CLI accepts e.g. ``3..i+5``), so
@@ -136,8 +132,7 @@ _CSV_COLUMNS = (
 )
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     rows: list[dict]
     wall_s: float = 0.0
 
@@ -196,6 +191,8 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json
+
         doc = {
             "summary": self.summary(),
             "mismatches": self.mismatches,
@@ -204,6 +201,8 @@ class VerifyReport:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
@@ -347,8 +346,12 @@ def _cmd_compute(args) -> int:
             )
 
     if args.format == "json":
+        import json
+
         _emit(json.dumps({**header, "results": results}, sort_keys=True, indent=2) + "\n")
     elif args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["quantity", "value", "method", "tag"])
@@ -392,6 +395,8 @@ def _cmd_table(args) -> int:
     if args.format == "json":
         _emit(export_json(table))
     elif args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["x", "y", "value", "residue", "level"])
@@ -411,6 +416,8 @@ def _cmd_exact(args) -> int:
     below = levels[-2] if args.p else (0,) * tup.a1
     value = max((top - tup.a1 for low, top in zip(below, levels[-1]) if top - low >= tup.a1), default=None)
     if args.format == "json":
+        import json
+
         doc = {"gens": list(tup.gens), "p": args.p, "value": value}
         _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     elif args.format == "csv":
@@ -425,6 +432,8 @@ def _cmd_seq(args) -> int:
     value = seq(args.kind, args.n)
     kind = SequenceKind.parse(args.kind).value
     if args.format == "json":
+        import json
+
         _emit(json.dumps({"kind": kind, "n": args.n, "value": value}, sort_keys=True) + "\n")
     elif args.format == "csv":
         _emit("kind,n,value\n" + f"{kind},{args.n},{value}\n")
@@ -518,6 +527,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # A closed form multiplies terms near MAX_INDEX, so a printed value can
+    # pass the interpreter's 4,300-digit str() limit; the inputs are already
+    # parsed and bounded, so lift it for this call only.
+    old_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         _validate(args, parser)
         return args.func(args)
@@ -538,6 +553,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except AssertionError as exc:
         print(f"froblab: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
 
 
 def main() -> None:

@@ -20,8 +20,7 @@ even in the Lucas family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .apery import apery_set
 from .denumerant import GeneratorTuple
@@ -54,8 +53,7 @@ class NotCoveredError(ValueError):
     """A closed form was demanded for indices no branch covers."""
 
 
-@dataclass(frozen=True)
-class TripleParams:
+class TripleParams(NamedTuple):
     """Resolved data for one triple at one level.
 
     ``r`` counts how many full blocks of width ``fib(k)`` fit into
@@ -93,8 +91,7 @@ def triple(kind: "SequenceKind | str", i: int, k: int) -> GeneratorTuple:
     return GeneratorTuple((seq(kind, i), seq(kind, i + 2), seq(kind, i + k)))
 
 
-@dataclass(frozen=True)
-class CaseTag:
+class CaseTag(NamedTuple):
     """Identifies the branch a value came from, e.g. ``Thm3/k=i+1``.
 
     ``verbatim`` marks branches kept byte-for-byte as given; oracle
@@ -113,15 +110,26 @@ class CaseTag:
 _TAG_NONE = "none"
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class _FormulaFields(NamedTuple):
     covered: bool
     value: Optional[int]
     tag: CaseTag
 
-    def __post_init__(self) -> None:
-        if self.covered != (self.value is not None):
+
+class FormulaResult(_FormulaFields):
+    """A closed-form value, or ``None`` with ``covered`` false."""
+
+    __slots__ = ()
+
+    def __new__(cls, covered: bool, value: Optional[int], tag: CaseTag) -> "FormulaResult":
+        if covered != (value is not None):
             raise AssertionError("covered flag must mirror presence of a value")
+        return super().__new__(cls, covered, value, tag)
+
+    @classmethod
+    def _make(cls, iterable) -> "FormulaResult":
+        # _replace builds through _make; keep the check on that path too.
+        return cls(*iterable)
 
 
 def _hit(theorem: str, branch: str, value: int, verbatim: bool = False) -> FormulaResult:
@@ -132,8 +140,7 @@ def _miss(reason: str) -> FormulaResult:
     return FormulaResult(False, None, CaseTag(_TAG_NONE, reason))
 
 
-@dataclass(frozen=True)
-class BranchDiscriminant:
+class BranchDiscriminant(NamedTuple):
     """The comparison that splits the general two-case formulas.
 
     ``lhs = (x_i - r*fib(k)) * x_{i+2}`` and ``rhs = fib(k-2) * x_i``.
@@ -429,8 +436,7 @@ def closed_n(kind: "SequenceKind | str", i: int, k: int, p: int) -> FormulaResul
     return np_lucas(i, k, p)
 
 
-@dataclass(frozen=True)
-class Computation:
+class Computation(NamedTuple):
     """A value plus the route that produced it."""
 
     value: int

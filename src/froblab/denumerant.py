@@ -8,9 +8,8 @@ floating point or modular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, NamedTuple, Optional
 
 __all__ = [
     "TupleValidationError",
@@ -26,18 +25,18 @@ class TupleValidationError(ValueError):
     """Raised when a candidate generator tuple is unusable."""
 
 
-@dataclass(frozen=True, init=False)
-class GeneratorTuple:
+class GeneratorTuple(tuple):
     """Generators ``a_1 < a_2 < ... < a_l`` with ``gcd = 1``.
 
     Input order does not matter; the tuple is stored sorted ascending.
     Duplicates are rejected rather than collapsed, so a typo in the input
-    cannot silently change the problem being solved.
+    cannot silently change the problem being solved.  It is itself a
+    ``tuple`` of the generators, equal to a plain tuple of the same values.
     """
 
-    gens: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, gens: Iterable[int]) -> None:
+    def __new__(cls, gens: Iterable[int]) -> "GeneratorTuple":
         items = list(gens)
         for g in items:
             if isinstance(g, bool) or not isinstance(g, int):
@@ -56,33 +55,34 @@ class GeneratorTuple:
             raise TupleValidationError(
                 f"generators {tuple(items)} share the common divisor {common}"
             )
-        object.__setattr__(self, "gens", tuple(items))
+        return super().__new__(cls, items)
 
     @classmethod
     def of(cls, *gens: int) -> "GeneratorTuple":
         return cls(gens)
 
     @property
+    def gens(self) -> tuple[int, ...]:
+        """The generators as a plain ``tuple``, ascending."""
+        return self[:]
+
+    @property
     def a1(self) -> int:
         """Smallest generator (the modulus used by residue arguments)."""
-        return self.gens[0]
+        return self[0]
 
     @property
     def a2(self) -> int:
-        return self.gens[1]
+        return self[1]
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.gens)
-
-    def __len__(self) -> int:
-        return len(self.gens)
+    def __repr__(self) -> str:
+        return f"GeneratorTuple(gens={self[:]!r})"
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(g) for g in self.gens) + ")"
+        return "(" + ", ".join(str(g) for g in self) + ")"
 
 
-@dataclass
-class DenumerantTable:
+class DenumerantTable(NamedTuple):
     """Dense table of representation counts for ``0..limit``."""
 
     gens: GeneratorTuple

@@ -24,23 +24,24 @@ class SequenceKind(Enum):
         """Accept a member, its value, or a common alias (case-insensitive)."""
         if isinstance(value, SequenceKind):
             return value
-        norm = str(value).strip().lower()
-        table = {
-            "fib": cls.FIBONACCI,
-            "fibonacci": cls.FIBONACCI,
-            "f": cls.FIBONACCI,
-            "lucas": cls.LUCAS,
-            "l": cls.LUCAS,
-        }
         try:
-            return table[norm]
+            return _ALIASES[str(value).strip().lower()]
         except KeyError:
             raise ValueError(f"unknown sequence kind: {value!r}") from None
 
 
+_ALIASES = {
+    "fib": SequenceKind.FIBONACCI,
+    "fibonacci": SequenceKind.FIBONACCI,
+    "f": SequenceKind.FIBONACCI,
+    "lucas": SequenceKind.LUCAS,
+    "l": SequenceKind.LUCAS,
+}
+
 # The largest index served.  The cache below holds every term up to the index
-# asked for, about 0.35*n^2 bits in all; fib(20000) and lucas(20000) have 4,180
-# digits, which still print under Python's default 4,300-digit limit.
+# asked for, about 0.35*n^2 bits in all.  fib(20000) and lucas(20000) have 4,180
+# digits, but a closed form multiplies such terms: its value can pass Python's
+# default 4,300-digit str() limit, which the CLI lifts while it runs.
 MAX_INDEX = 20_000
 
 # Grow-only term caches.  Appending is done under the lock, and a reader

@@ -10,10 +10,8 @@ column.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .apery import AperySet, apery_levels
 from .closed_forms import TripleParams, params, triple
@@ -25,8 +23,7 @@ __all__ = ["Cell", "ResidueTable", "build_table", "render_ascii", "export_json"]
 _MODES = ("value", "residue", "level")
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One grid position; ``level`` is set only on annotated cells."""
 
     x: int
@@ -36,8 +33,7 @@ class Cell:
     level: Optional[int]
 
 
-@dataclass(frozen=True)
-class ResidueTable:
+class ResidueTable(NamedTuple):
     """The annotated grid, trimmed to the bounding box of annotations.
 
     ``cells`` is row-major (y outer, x inner) over the bounding box.
@@ -147,6 +143,8 @@ def render_ascii(table: ResidueTable, mode: str = "value") -> str:
 
 def export_json(table: ResidueTable) -> str:
     """Stable JSON document (sorted keys, two-space indent, trailing newline)."""
+    import json
+
     pr = table.params
     doc = {
         "kind": pr.kind.value,

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from froblab import cli, sequences
 from froblab.apery import _apery_elements, p_frobenius
+from froblab.closed_forms import closed_g
 from froblab.denumerant import largest_with_exactly_p
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -443,6 +444,39 @@ def test_index_at_bound_still_prints(capsys, kind):
     assert len(out) == 4180 + 1  # 4,180 digits and a newline
 
 
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift the int/str digit limit, where there is one, inside the block."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("method, fmt", [("closed", "text"), ("auto", "json")])
+def test_large_closed_form_value_prints(capsys, method, fmt):
+    # Each term is under MAX_INDEX, but the value is a product of two of
+    # them: 6,270 digits, past the interpreter's default limit of 4,300.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(
+        capsys, "compute", "--kind", "fib", "--i", "15000", "--k", "4", "--p", "0",
+        "--what", "g", "--method", method, "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    expected = closed_g("fib", 15000, 4, 0).value
+    with _no_digit_limit():
+        assert len(str(expected)) == 6270
+        if fmt == "json":
+            assert json.loads(out)["results"][0]["value"] == expected
+        else:
+            assert f" = {expected}  [closed Thm5/general]\n" in out
+
+
 # ------------------------------------------------------------- cache env var
 
 def test_cache_dir_keeps_output_identical(tmp_path, monkeypatch, capsys):
@@ -467,8 +501,13 @@ def test_installed_entry_point_runs():
 
 
 def test_cli_import_stays_single_process():
-    code = ("import sys, froblab.cli; "
-            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    # Besides the pool modules: json and csv are loaded only by the formats
+    # that use them, and no record type pulls in dataclasses (and inspect).
+    # Only what the import adds counts, so a site hook cannot fail this.
+    checked = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "json", "csv")
+    code = (f"import sys; checked = {checked!r}; "
+            "before = {m for m in checked if m in sys.modules}; import froblab.cli; "
+            "print([m for m in checked if m in sys.modules and m not in before])")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
