@@ -4,93 +4,23 @@ Two independent routes to every quantity — closed forms where the
 Fibonacci/Lucas triple families admit them, and an exact Apery-set
 oracle everywhere — plus the machinery to compare the routes against
 each other.
+
+The package re-exports each module's ``__all__``.  The lists are bound
+under private names: ``froblab.denumerant`` is the function of that name,
+not the module.
 """
 
-from .apery import (
-    AperySet,
-    DegenerateTupleError,
-    apery_levels,
-    apery_set,
-    p_frobenius,
-    p_frobenius_scan,
-    p_sylvester,
-    p_sylvester_scan,
-)
-from .closed_forms import (
-    BranchDiscriminant,
-    CaseTag,
-    Computation,
-    FormulaResult,
-    NotCoveredError,
-    TripleParams,
-    closed_g,
-    closed_n,
-    compute_g,
-    compute_n,
-    discriminant,
-    gp_fib,
-    gp_fib_two_gen,
-    gp_lucas,
-    np_fib,
-    np_lucas,
-    params,
-    proposition_h,
-    triple,
-)
-from .denumerant import (
-    DenumerantTable,
-    GeneratorTuple,
-    TupleValidationError,
-    denumerant,
-    denumerant_table,
-    largest_with_exactly_p,
-)
-from .sequences import SequenceKind, fib, lucas, seq
-from .tables import Cell, ResidueTable, build_table, export_json, render_ascii
+from .apery import *
+from .apery import __all__ as _apery
+from .closed_forms import *
+from .closed_forms import __all__ as _closed_forms
+from .denumerant import *
+from .denumerant import __all__ as _denumerant
+from .sequences import *
+from .sequences import __all__ as _sequences
+from .tables import *
+from .tables import __all__ as _tables
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AperySet",
-    "BranchDiscriminant",
-    "CaseTag",
-    "Cell",
-    "Computation",
-    "DegenerateTupleError",
-    "DenumerantTable",
-    "FormulaResult",
-    "GeneratorTuple",
-    "NotCoveredError",
-    "ResidueTable",
-    "SequenceKind",
-    "TripleParams",
-    "TupleValidationError",
-    "apery_levels",
-    "apery_set",
-    "build_table",
-    "closed_g",
-    "closed_n",
-    "compute_g",
-    "compute_n",
-    "denumerant",
-    "denumerant_table",
-    "discriminant",
-    "export_json",
-    "fib",
-    "gp_fib",
-    "gp_fib_two_gen",
-    "gp_lucas",
-    "largest_with_exactly_p",
-    "lucas",
-    "np_fib",
-    "np_lucas",
-    "p_frobenius",
-    "p_frobenius_scan",
-    "p_sylvester",
-    "p_sylvester_scan",
-    "params",
-    "proposition_h",
-    "render_ascii",
-    "seq",
-    "triple",
-]
+__all__ = [*_apery, *_closed_forms, *_denumerant, *_sequences, *_tables]

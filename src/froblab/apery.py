@@ -32,9 +32,8 @@ value on the cycle at once.  The second walks the cycle once, merging each
 residue's list with its settled predecessor's shifted by ``a_j``, and skips
 the merge when the list is full and no arrival is smaller than its last
 value.  One call gives every level ``0..p`` for
-``O(l*a_1*(p+1)*log(p+1))`` integer operations, plus a sort of
-``(p+1)^2`` values per cycle; :data:`VALUE_BUDGET` bounds ``a_1*(p+2)``,
-the values plus one slot per residue for its list.
+``O(l*a_1*(p+1)*log(p+1))`` integer operations; :data:`VALUE_BUDGET` bounds
+``a_1*(p+2)``, the values plus one slot per residue for its list.
 
 Alongside it this module ships an independent scan route
 (:func:`p_frobenius_scan`, :func:`p_sylvester_scan`) that works straight
@@ -47,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -147,8 +147,10 @@ def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...],
                 continue
             # Anything else at `start` is one of these taken w >= 1 more times
             # round the cycle; v + w*lap has w smaller values, so w < keep.
+            # Merging the keep rounds of each value holds O(keep) of them, not
+            # keep**2.
             prev = smallest[start] = tuple(
-                sorted(v + w * lap for v in reach for w in range(keep))[:keep]
+                islice(heapq.merge(*(range(v, v + keep * lap, lap) for v in reach)), keep)
             )
             # Second lap: each residue from its settled predecessor.  A full
             # list whose largest value is at most the least arrival is final.

@@ -22,7 +22,7 @@ import argparse
 import io
 import sys
 import time
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .apery import DegenerateTupleError, apery_levels, apery_set, p_frobenius
 from .closed_forms import (
@@ -39,7 +39,7 @@ from .closed_forms import (
 )
 from .denumerant import GeneratorTuple, TupleValidationError
 from .sequences import SequenceKind, seq
-from .tables import build_table, export_json, render_ascii
+from .tables import Cell, build_table, export_json, render_ascii
 
 __all__ = ["main", "run", "SweepSpec", "VerifyReport", "run_sweep", "run_proposition"]
 
@@ -191,32 +191,10 @@ class VerifyReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        import json
-
-        doc = {
-            "summary": self.summary(),
-            "mismatches": self.mismatches,
-            "ok": self.ok,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json_text({"summary": self.summary(), "mismatches": self.mismatches, "ok": self.ok})
 
     def to_csv(self) -> str:
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow([_csv_cell(r[c]) for c in _CSV_COLUMNS])
-        return buf.getvalue()
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
+        return _csv_text(_CSV_COLUMNS, ([r[c] for c in _CSV_COLUMNS] for r in self.rows))
 
 
 def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None) -> VerifyReport:
@@ -308,6 +286,45 @@ def _note(args, text: str) -> None:
 
 
 # ----------------------------------------------------------------------
+# output formats: json and csv are imported only by the run that writes them
+
+def _json_text(doc, indent: Optional[int] = 2) -> str:
+    """Sorted keys, ``indent`` spaces (one line when None), trailing newline."""
+    import json
+
+    return json.dumps(doc, sort_keys=True, indent=indent) + "\n"
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+def _csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header row, then one line per row, each cell through :func:`_csv_cell`."""
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _write(args, doc, columns, rows, text: str, indent: Optional[int] = 2) -> None:
+    """Emit one command's result as ``doc``, as ``rows`` under ``columns``, or as ``text``."""
+    if args.format == "json":
+        _emit(_json_text(doc, indent))
+    elif args.format == "csv":
+        _emit(_csv_text(columns, rows))
+    else:
+        _emit(text)
+
+
+# ----------------------------------------------------------------------
 # commands
 
 def _cmd_compute(args) -> int:
@@ -345,24 +362,14 @@ def _cmd_compute(args) -> int:
                 }
             )
 
-    if args.format == "json":
-        import json
-
-        _emit(json.dumps({**header, "results": results}, sort_keys=True, indent=2) + "\n")
-    elif args.format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["quantity", "value", "method", "tag"])
-        for r in results:
-            w.writerow([r["quantity"], r["value"], r["method"], r["tag"] or ""])
-        _emit(buf.getvalue())
-    else:
-        gens_str = "(" + ", ".join(str(g) for g in header["gens"]) + ")"
-        for r in results:
-            how = r["method"] + (f" {r['tag']}" if r["tag"] else "")
-            _emit(f"{r['quantity']}_{args.p}{gens_str} = {r['value']}  [{how}]\n")
+    gens_str = "(" + ", ".join(str(g) for g in header["gens"]) + ")"
+    lines = []
+    for r in results:
+        how = r["method"] + (f" {r['tag']}" if r["tag"] else "")
+        lines.append(f"{r['quantity']}_{args.p}{gens_str} = {r['value']}  [{how}]\n")
+    columns = ("quantity", "value", "method", "tag")
+    rows = [[r[c] for c in columns] for r in results]
+    _write(args, {**header, "results": results}, columns, rows, "".join(lines))
     return EXIT_OK
 
 
@@ -373,12 +380,16 @@ def _cmd_verify(args) -> int:
         report = run_proposition(p_lo, p_hi, range(i_lo, i_hi + 1))
     else:
         kinds = ("fib", "lucas") if args.kind == "both" else (SequenceKind.parse(args.kind).value,)
-        i_lo, i_hi = _parse_int_span(args.i) if args.i else (3, 12)
-        k_lo, k_hi = _parse_k_span(args.k) if args.k else ((None, 3), ("i", 5))
-        p_lo, p_hi = _parse_int_span(args.p) if args.p else (0, 4)
         quantities = _QUANTITIES if args.what == "both" else (args.what,)
-        spec = SweepSpec(kinds, i_lo, i_hi, k_lo, k_hi, p_lo, p_hi, quantities)
-        report = run_sweep(spec, progress=lambda m: _note(args, m))
+        # a range left out keeps SweepSpec's default
+        grid = {"kinds": kinds, "quantities": quantities}
+        if args.i:
+            grid["i_lo"], grid["i_hi"] = _parse_int_span(args.i)
+        if args.k:
+            grid["k_lo"], grid["k_hi"] = _parse_k_span(args.k)
+        if args.p:
+            grid["p_lo"], grid["p_hi"] = _parse_int_span(args.p)
+        report = run_sweep(SweepSpec(**grid), progress=lambda m: _note(args, m))
 
     if args.format == "json":
         _emit(report.to_json())
@@ -395,14 +406,7 @@ def _cmd_table(args) -> int:
     if args.format == "json":
         _emit(export_json(table))
     elif args.format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["x", "y", "value", "residue", "level"])
-        for c in table.cells:
-            w.writerow([c.x, c.y, c.value, c.residue, "" if c.level is None else c.level])
-        _emit(buf.getvalue())
+        _emit(_csv_text(Cell._fields, table.cells))
     else:
         _emit(render_ascii(table, mode=args.mode))
     return EXIT_OK
@@ -415,30 +419,18 @@ def _cmd_exact(args) -> int:
     levels = [s.elements for s in apery_levels(tup, args.p)]
     below = levels[-2] if args.p else (0,) * tup.a1
     value = max((top - tup.a1 for low, top in zip(below, levels[-1]) if top - low >= tup.a1), default=None)
-    if args.format == "json":
-        import json
-
-        doc = {"gens": list(tup.gens), "p": args.p, "value": value}
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    elif args.format == "csv":
-        _emit("p,value\n" + f"{args.p},{'' if value is None else value}\n")
-    else:
-        shown = "none" if value is None else str(value)
-        _emit(f"largest n with exactly {args.p} representations: {shown}\n")
+    shown = "none" if value is None else str(value)
+    text = f"largest n with exactly {args.p} representations: {shown}\n"
+    doc = {"gens": list(tup.gens), "p": args.p, "value": value}
+    _write(args, doc, ("p", "value"), [(args.p, value)], text)
     return EXIT_OK
 
 
 def _cmd_seq(args) -> int:
     value = seq(args.kind, args.n)
     kind = SequenceKind.parse(args.kind).value
-    if args.format == "json":
-        import json
-
-        _emit(json.dumps({"kind": kind, "n": args.n, "value": value}, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        _emit("kind,n,value\n" + f"{kind},{args.n},{value}\n")
-    else:
-        _emit(f"{value}\n")
+    doc = {"kind": kind, "n": args.n, "value": value}
+    _write(args, doc, ("kind", "n", "value"), [(kind, args.n, value)], f"{value}\n", indent=None)
     return EXIT_OK
 
 
@@ -476,7 +468,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--proposition",
         action="store_true",
-        help="check pair-reduction thresholds instead of formula branches",
+        help="check the pair-reduction thresholds (fib g_p over --i and --p, "
+        "default 3..5 and 0..6) instead of formula branches; refuses --k, and "
+        "--kind or --what other than fib and g",
     )
     p_verify.add_argument(
         "--jobs",
@@ -519,6 +513,11 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         parser.error("--p must be >= 0")
     if args.command == "verify" and args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if args.command == "verify" and args.proposition and (
+        args.k is not None or args.kind != "fib" or args.what != "g"
+    ):
+        parser.error("--proposition checks fib g_p over --i and --p only; "
+                     "it takes no --k, and --kind and --what only as fib and g")
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

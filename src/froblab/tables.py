@@ -2,10 +2,12 @@
 
 Every Apery element of the triple ``(x_i, x_{i+2}, x_{i+k})`` is a
 non-negative combination of the two larger generators alone, so levels
-0..p_max can be drawn as annotations on a two-dimensional grid.  When a
-value admits several ``(x, y)`` decompositions the annotation goes on the
-lexicographically smallest ``(y, x)`` — lowest row first, then lowest
-column.
+0..p_max can be drawn as annotations on a two-dimensional grid.  A value
+with one ``(x, y)`` decomposition is annotated there.  A value with several
+recurs, once per decomposition, at consecutive levels of its residue (as far
+as ``p_max`` reaches), and its copies take the decompositions in order of
+increasing ``y``: the grid's points are ranked by ``(value, y)`` within each
+residue, and the first ``p_max + 1`` are annotated.
 """
 
 from __future__ import annotations
@@ -82,13 +84,19 @@ def build_table(kind: "SequenceKind | str", i: int, k: int, p_max: int) -> Resid
     a1, a2, a3 = tup.gens
 
     levels = apery_levels(tup, p_max)
+    # Successive decompositions of one value differ by (-a3/d, +a2/d).
+    d = gcd(a2, a3)
     placed: dict[tuple[int, int], int] = {}
-    for q, aset in enumerate(levels):
-        for m in aset.elements:
+    for column in zip(*(aset.elements for aset in levels)):  # one residue
+        t = 0
+        for q, m in enumerate(column):
+            t = t + 1 if q and m == column[q - 1] else 0  # copy number of m
             spot = _least_cell(m, a2, a3)
             if spot is None:
                 raise AssertionError(f"no (x, y) decomposition for element {m}")
-            xy = (spot[0], spot[1])
+            xy = (spot[0] - t * (a3 // d), spot[1] + t * (a2 // d))
+            if xy[0] < 0:
+                raise AssertionError(f"element {m} occurs more often than it decomposes")
             if xy in placed:
                 raise AssertionError(f"cell {xy} annotated twice (value {m})")
             placed[xy] = q + 1

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from froblab.apery import _apery_elements, apery_set, p_frobenius, p_sylvester
+from froblab.apery import _apery_elements, apery_set, p_frobenius, p_frobenius_scan, p_sylvester
 from froblab.cli import SweepSpec, run_proposition, run_sweep
 from froblab.closed_forms import closed_n, gp_fib, gp_lucas, triple
 from froblab.denumerant import GeneratorTuple, largest_with_exactly_p
@@ -127,7 +127,7 @@ def test_criterion_05_exact_count_anecdote():
     for p, want in ((17, 43), (18, 42), (22, None)):
         # above g_p + a1 every integer has more than p representations,
         # so this cap certifies absence as well as presence
-        cap = p_frobenius(gens, p) + gens.a1
+        cap = p_frobenius_scan(gens, p) + gens.a1
         assert largest_with_exactly_p(gens, p, cap) == want
     print("criterion 5: PASS — exactly-17 -> 43, exactly-18 -> 42, exactly-22 -> absent")
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from froblab import cli, sequences
-from froblab.apery import _apery_elements, p_frobenius
+from froblab.apery import _apery_elements, p_frobenius_scan, p_sylvester_scan
 from froblab.closed_forms import closed_g
 from froblab.denumerant import largest_with_exactly_p
 
@@ -148,6 +149,22 @@ def test_over_budget_is_a_usage_error(capsys, argv):
     assert peak < 10_000_000
 
 
+def test_high_level_on_small_tuple_stays_small(capsys):
+    # a1*(p+2) = 4004 is far inside the budget; each cycle of the walk must
+    # then hold O(p) values, not (p+1)**2 (about 180 MB here).
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "compute", "--gens", "2,5,8", "--p", "2000",
+                               "--what", "both", "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    values = {r["quantity"]: r["value"] for r in json.loads(out)["results"]}
+    assert values == {"g": p_frobenius_scan((2, 5, 8), 2000), "n": p_sylvester_scan((2, 5, 8), 2000)}
+    assert peak < 10_000_000
+
+
 # -------------------------------------------------------------------- verify
 
 def test_verify_small_grid_text(capsys):
@@ -257,6 +274,24 @@ def test_verify_proposition(capsys):
     assert doc["summary"]["rows"] == 24  # (p,h) in {3,4,5,6} x i in {3,4,5} x two k's
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [("--k", "3..4"), ("--kind", "lucas"), ("--kind", "both"), ("--what", "n"), ("--what", "both")],
+)
+def test_proposition_refuses_what_it_would_ignore(capsys, extra):
+    code, out, err = run_cli(capsys, "verify", "--proposition", "--p", "3..3", "--i", "3..3",
+                             *extra, "--quiet")
+    assert (code, out) == (2, "")
+    assert "--proposition" in err
+
+
+def test_proposition_takes_fib_and_g_spelled_out(capsys):
+    argv = ["verify", "--proposition", "--p", "3..4", "--i", "3..4", "--quiet"]
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--kind", "fib", "--what", "g") == plain
+
+
 def test_verify_deterministic_and_jobs_invariant(capsys):
     args = ["verify", "--kind", "fib", "--i", "3..5", "--k", "3..i+1",
             "--p", "0..1", "--what", "both", "--format", "csv", "--quiet"]
@@ -335,6 +370,15 @@ def test_table_csv_and_json(capsys):
     assert json.loads(out)["levels"][0]["elements"] == [0, 21, 42, 55, 76, 97, 110, 131]
 
 
+@pytest.mark.parametrize("i, k", [(3, 7), (6, 10)])
+def test_table_with_repeated_values_exits_ok(capsys, i, k):
+    # x_{i+k} is a multiple of x_{i+2}, so it recurs at two levels
+    code, out, err = run_cli(capsys, "table", "--kind", "fib", "--i", str(i), "--k", str(k),
+                             "--pmax", "6", "--mode", "level")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == "7"
+
+
 def test_table_pmax0_single_staircase(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--kind", "fib", "--i", "6", "--k", "4", "--pmax", "0",
@@ -385,8 +429,9 @@ def test_exact_matches_count_table(gens, p):
     with contextlib.redirect_stdout(out):
         code = cli.run(["exact", "--gens", ",".join(map(str, gens)), "--p", str(p), "--format", "json"])
     assert code == 0
-    # nothing above g_p has as few as p representations
-    want = largest_with_exactly_p(gens, p, p_frobenius(gens, p) + gens[0])
+    # nothing above g_p has as few as p representations; the cap comes from
+    # the count-table scan, so the reference shares nothing with the walk
+    want = largest_with_exactly_p(gens, p, p_frobenius_scan(gens, p) + gens[0])
     assert json.loads(out.getvalue())["value"] == want, (gens, p)
 
 
@@ -475,6 +520,21 @@ def test_large_closed_form_value_prints(capsys, method, fmt):
             assert json.loads(out)["results"][0]["value"] == expected
         else:
             assert f" = {expected}  [closed Thm5/general]\n" in out
+
+
+# ----------------------------------------------------------- pinned stdout
+
+# stdout sha256 and exit code of 75 command lines (5 commands x 3 formats),
+# recorded before the output writers were shared, so that refactors of the
+# writers can show they print the same bytes.
+PINNED = json.loads((FIXTURES / "cli_stdout_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED, ids=[" ".join(c["argv"]) for c in PINNED])
+def test_stdout_matches_pinned_digest(capsys, case):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
 # ------------------------------------------------------------- cache env var

@@ -171,3 +171,44 @@ def test_export_smallest_case():
     doc = json.loads(export_json(build_table("fib", 3, 3, 0)))
     assert len(doc["levels"]) == 1
     assert len(doc["levels"][0]["elements"]) == 2
+
+
+def _first_points_by_value_then_row(a1, a2, a3, p_max):
+    """Level of each of the first p_max + 1 grid points per residue, in (value, y) order.
+
+    Enumerates every point up to a value bound, doubling it until each residue
+    has p_max + 1 points; the walk is never consulted.
+    """
+    bound = a1 * a3
+    while True:
+        by_residue = {}
+        for y in range(bound // a3 + 1):
+            for x in range((bound - y * a3) // a2 + 1):
+                v = x * a2 + y * a3
+                by_residue.setdefault(v % a1, []).append((v, y, x))
+        if len(by_residue) == a1 and all(len(pts) > p_max for pts in by_residue.values()):
+            break
+        bound *= 2
+    return {
+        (x, y): rank + 1
+        for pts in by_residue.values()
+        for rank, (_, y, x) in enumerate(sorted(pts)[: p_max + 1])
+    }
+
+
+TRIPLE_GRID = [
+    (kind, i, k, p_max)
+    for kind in ("fib", "lucas")
+    for i in range(3, 8)
+    for k in range(3, i + 6)
+    for p_max in (0, 3, 6, 12, 20)
+]
+
+
+def test_repeated_values_take_their_decompositions_in_row_order():
+    for kind, i, k, p_max in TRIPLE_GRID:
+        table = build_table(kind, i, k, p_max)
+        got = {(c.x, c.y): c.level for c in table.cells if c.level is not None}
+        want = _first_points_by_value_then_row(*table.gens.gens, p_max)
+        assert got == want, (kind, i, k, p_max)
+
