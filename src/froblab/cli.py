@@ -12,8 +12,9 @@ demanded (``--method closed``) where none is covered, 5 internal error
 Every command answers from one residue walk (``exact`` too, from levels
 ``p - 1`` and ``p``), which refuses, with exit 2 and before allocating, a
 tuple whose ``a_1 * (p + 2)`` exceeds :data:`froblab.apery.VALUE_BUDGET`
-(5,000,000).  A sequence index above :data:`froblab.sequences.MAX_INDEX`
-(20,000) is refused the same way.
+(5,000,000); ``table`` also refuses a box of more cells than that.  A
+sequence index above :data:`froblab.sequences.MAX_INDEX` (20,000) is
+refused the same way.
 """
 
 from __future__ import annotations
@@ -222,8 +223,11 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
     value as the pair alone.
     """
     t0 = time.monotonic()
+    levels = range(p_lo, p_hi + 1)
+    if levels and p_lo < 0:
+        raise ValueError(f"p must be >= 0, got {p_lo}")
     rows = []
-    for p in range(p_lo, p_hi + 1):
+    for p in levels:
         h = proposition_h(p)
         if h is None:
             continue
@@ -233,7 +237,7 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
                 oracle = p_frobenius(triple("fib", i, k), p)
                 pr = params("fib", i, k, p)
                 tag = f"Prop/k>=i+{h}"
-                rows.append(_row("fib", i, k, p, pr, "g", expected, oracle, tag, False, expected == oracle))
+                rows.append(_row("fib", i, k, p, pr, "g", expected, oracle, tag, True, expected == oracle))
     return VerifyReport(rows, wall_s=time.monotonic() - t0)
 
 

@@ -8,10 +8,11 @@ comes back as *not covered* so the caller can fall back to the
 exhaustive Apery-set oracle.
 
 Every result carries a :class:`CaseTag` naming the branch that produced
-it.  A few Sylvester branches are flagged ``verbatim``: they are kept
-exactly as given even though verification sweeps show they disagree with
-the oracle on part of their range.  For those branches the sweep report,
-not a silent rewrite, is the contract.
+it.  Three Sylvester branches and the pair-reduction Proposition are
+flagged ``verbatim``: they are kept exactly as given even though
+verification sweeps show they disagree with the oracle on part of their
+range (the Proposition at fib ``i=3, k=10, p=23`` only).  For those
+branches the sweep report, not a silent rewrite, is the contract.
 
 Index conventions used throughout: ``i, k >= 3``; the splitting
 parameters are ``r, ell = divmod(x_i - 1, fib(k))`` — note ``fib(k)``
@@ -287,7 +288,7 @@ def gp_fib(i: int, k: int, p: int) -> FormulaResult:
         return _gp_general(pr, "Thm5")
     h = proposition_h(p)
     if h is not None and k >= i + h:
-        return _hit("Prop", f"k>=i+{h}", gp_fib_two_gen(i, p))
+        return _hit("Prop", f"k>=i+{h}", gp_fib_two_gen(i, p), verbatim=True)
     return _miss(f"fib g: uncovered at i={i} k={k} p={p} (r={pr.r})")
 
 

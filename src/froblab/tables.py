@@ -1,21 +1,30 @@
 """Residue tables: the ``t(x, y) = x*x_{i+2} + y*x_{i+k}`` grid.
 
-Every Apery element of the triple ``(x_i, x_{i+2}, x_{i+k})`` is a
-non-negative combination of the two larger generators alone, so levels
-0..p_max can be drawn as annotations on a two-dimensional grid.  A value
-with one ``(x, y)`` decomposition is annotated there.  A value with several
-recurs, once per decomposition, at consecutive levels of its residue (as far
-as ``p_max`` reaches), and its copies take the decompositions in order of
-increasing ``y``: the grid's points are ranked by ``(value, y)`` within each
-residue, and the first ``p_max + 1`` are annotated.
+Every Apery element of the triple ``(a1, a2, a3) = (x_i, x_{i+2}, x_{i+k})``
+is a non-negative combination of ``a2`` and ``a3`` alone.  Within each
+residue mod ``a1`` the grid's points are ranked by ``(value, y)``, and the
+point of rank ``q <= p_max`` is annotated with level ``q + 1``: a repeated
+value takes its decompositions at consecutive levels, in order of ``y``.
+
+With ``v = x*a2 + y*a3``, the points before ``(x, y)`` are the smaller
+values, all in the walk's ascending column for ``v % a1`` when ``q <= p_max``,
+and the ``y // step`` decompositions ``(x + s*a3/d, y - s*a2/d)`` of ``v``,
+where ``d = gcd(a2, a3)`` and ``step = a2/d``.  So the rank is
+``q = bisect_left(column, v) + y // step``.  A step in ``x`` or in ``y``
+maps the points before a cell to distinct points before its neighbour, so
+the rank never drops: each row's annotated cells are a prefix no longer
+than the row above's, and the box is the first row's width by the number
+of non-empty rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import count
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .apery import AperySet, apery_levels
+from .apery import VALUE_BUDGET, AperySet, apery_levels
 from .closed_forms import TripleParams, params, triple
 from .denumerant import GeneratorTuple
 from .sequences import SequenceKind, fib
@@ -55,7 +64,7 @@ class ResidueTable(NamedTuple):
 
     @property
     def width(self) -> int:
-        return max(self.row_extents) + 1 if self.row_extents else 0
+        return self.row_extents[0] + 1 if self.row_extents else 0  # rows only shrink
 
     def cell(self, x: int, y: int) -> Cell:
         if not (0 <= y < self.height and 0 <= x < self.width):
@@ -63,20 +72,11 @@ class ResidueTable(NamedTuple):
         return self.cells[y * self.width + x]
 
 
-def _least_cell(m: int, a2: int, a3: int) -> Optional[tuple[int, int]]:
-    """Lexicographically smallest ``(y, x)`` with ``x*a2 + y*a3 == m``."""
-    d = gcd(a2, a3)
-    if m % d:
-        return None
-    # The least y >= 0 with y*a3 ≡ m (mod a2); any other solution has a larger y.
-    y = m // d * pow(a3 // d, -1, a2 // d) % (a2 // d)
-    if y * a3 > m:
-        return None
-    return ((m - y * a3) // a2, y)
-
-
 def build_table(kind: "SequenceKind | str", i: int, k: int, p_max: int) -> ResidueTable:
-    """Grid for the triple with annotation levels ``1 .. p_max + 1``."""
+    """Grid for the triple with annotation levels ``1 .. p_max + 1``.
+
+    Refuses a box of more than ``VALUE_BUDGET`` cells before building any.
+    """
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
     pr = params(kind, i, k, p_max)
@@ -84,37 +84,36 @@ def build_table(kind: "SequenceKind | str", i: int, k: int, p_max: int) -> Resid
     a1, a2, a3 = tup.gens
 
     levels = apery_levels(tup, p_max)
-    # Successive decompositions of one value differ by (-a3/d, +a2/d).
-    d = gcd(a2, a3)
-    placed: dict[tuple[int, int], int] = {}
-    for column in zip(*(aset.elements for aset in levels)):  # one residue
-        t = 0
-        for q, m in enumerate(column):
-            t = t + 1 if q and m == column[q - 1] else 0  # copy number of m
-            spot = _least_cell(m, a2, a3)
-            if spot is None:
-                raise AssertionError(f"no (x, y) decomposition for element {m}")
-            xy = (spot[0] - t * (a3 // d), spot[1] + t * (a2 // d))
-            if xy[0] < 0:
-                raise AssertionError(f"element {m} occurs more often than it decomposes")
-            if xy in placed:
-                raise AssertionError(f"cell {xy} annotated twice (value {m})")
-            placed[xy] = q + 1
+    columns = tuple(zip(*(aset.elements for aset in levels)))  # one per residue
+    step = a2 // gcd(a2, a3)
+    rows: list[list[int]] = []  # the levels of each row's annotated prefix
+    for y in count():
+        row = []
+        for x in count():
+            v = x * a2 + y * a3
+            column = columns[v % a1]
+            q = bisect_left(column, v) + y // step
+            if q > p_max:
+                break
+            if column[q] != v:
+                raise AssertionError(f"cell ({x}, {y}) has rank {q} but value {v} != {column[q]}")
+            row.append(q + 1)
+        if not row:
+            break
+        rows.append(row)
 
-    ymax = max(y for _, y in placed)
-    xmax = max(x for x, _ in placed)
-    extents = [-1] * (ymax + 1)
-    for x, y in placed:
-        extents[y] = max(extents[y], x)
-    if -1 in extents:
-        raise AssertionError(f"row {extents.index(-1)} has no annotation")
-    row_extents = tuple(extents)
+    annotated = sum(map(len, rows))
+    if annotated != a1 * (p_max + 1):
+        raise AssertionError(f"{annotated} cells annotated, expected {a1 * (p_max + 1)}")
+    width, height = len(rows[0]), len(rows)
+    if width * height > VALUE_BUDGET:
+        raise ValueError(f"table box {width}x{height} is over the budget of {VALUE_BUDGET} cells")
     cells = tuple(
-        Cell(x, y, x * a2 + y * a3, (x * a2 + y * a3) % a1, placed.get((x, y)))
-        for y in range(ymax + 1)
-        for x in range(xmax + 1)
+        Cell(x, y, x * a2 + y * a3, (x * a2 + y * a3) % a1, row[x] if x < len(row) else None)
+        for y, row in enumerate(rows)
+        for x in range(width)
     )
-    return ResidueTable(pr, tup, levels, cells, row_extents)
+    return ResidueTable(pr, tup, levels, cells, tuple(len(row) - 1 for row in rows))
 
 
 def render_ascii(table: ResidueTable, mode: str = "value") -> str:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from froblab import cli, sequences
+from froblab import cli, sequences, tables
 from froblab.apery import _apery_elements, p_frobenius_scan, p_sylvester_scan
 from froblab.closed_forms import closed_g
 from froblab.denumerant import largest_with_exactly_p
@@ -285,6 +285,22 @@ def test_proposition_refuses_what_it_would_ignore(capsys, extra):
     assert "--proposition" in err
 
 
+def test_proposition_rejects_negative_level(capsys):
+    code, out, err = run_cli(capsys, "verify", "--proposition", "--p=-3..-1", "--quiet")
+    assert (code, out) == (2, "")
+    assert "p must be >= 0, got -3" in err
+    # an empty range has no level to check
+    assert run_cli(capsys, "verify", "--proposition", "--p=-1..-3", "--quiet")[0] == 0
+
+
+def test_proposition_failure_at_i3_prints_as_verbatim(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--proposition", "--i", "3..3", "--p", "23..23", "--quiet")
+    assert code == 1
+    assert ("MISMATCH [verbatim] g kind=fib i=3 k=10 p=23 r=0 ell=1: "
+            "closed=233 oracle=231 tag=Prop/k>=i+7") in out.splitlines()
+    assert out.endswith("FAIL\n")
+
+
 def test_proposition_takes_fib_and_g_spelled_out(capsys):
     argv = ["verify", "--proposition", "--p", "3..4", "--i", "3..4", "--quiet"]
     plain = run_cli(capsys, *argv)
@@ -386,6 +402,48 @@ def test_table_pmax0_single_staircase(capsys):
     )
     assert code == 0
     assert out.splitlines()[1:] == ["1 1 1", "1 1 1", "1 1"]
+
+
+def test_table_box_over_budget_is_refused_before_any_cell(capsys, monkeypatch):
+    # fib i=6, k=4 at pmax 4 has an 11x6 box; its walk is far inside the budget
+    argv = ("table", "--kind", "fib", "--i", "6", "--k", "4", "--pmax", "4", "--format", "json")
+    real_cell = tables.Cell
+
+    def no_cell(*args):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr(tables, "Cell", no_cell)
+    monkeypatch.setattr(tables, "VALUE_BUDGET", 65)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "froblab: table box 11x6 is over the budget of 65 cells\n"
+
+    monkeypatch.setattr(tables, "Cell", real_cell)
+    monkeypatch.setattr(tables, "VALUE_BUDGET", 66)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(json.loads(out)["cells"]) == 66
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [(8, "cell (3, 4) has rank 4 but value 283 != 291"), (-8, "39 cells annotated, expected 40")],
+)
+def test_table_invariants_catch_a_corrupted_walk(capsys, monkeypatch, delta, message):
+    # Move the top-level element of residue 3 by a1 = 8.  Raised, the cell
+    # that ranks at level 5 no longer holds the column's value; lowered,
+    # every cell still agrees with its column but one annotation is lost.
+    real = tables.apery_levels
+
+    def corrupted(tup, p_max):
+        levels = real(tup, p_max)
+        elements = list(levels[-1].elements)
+        elements[3] += delta
+        return levels[:-1] + (levels[-1]._replace(elements=tuple(elements)),)
+
+    monkeypatch.setattr(tables, "apery_levels", corrupted)
+    code, out, err = run_cli(capsys, "table", "--kind", "fib", "--i", "6", "--k", "4", "--pmax", "4")
+    assert (code, out) == (5, "")
+    assert err == f"froblab: internal error: {message}\n"
 
 
 # --------------------------------------------------------------------- exact

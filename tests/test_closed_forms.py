@@ -18,6 +18,7 @@ from froblab.closed_forms import (
     triple,
 )
 from froblab.cli import SweepSpec, run_sweep
+from froblab.denumerant import denumerant
 from froblab.sequences import fib, lucas
 
 
@@ -85,6 +86,19 @@ def test_pair_reduction_covers_large_p_tails():
     assert res.covered and res.tag.theorem == "Prop"
     assert res.value == gp_fib_two_gen(5, 4)
     assert not gp_fib(5, 5 + 3, 4).covered  # below threshold, r < p: a gap
+
+
+def test_pair_reduction_fails_at_i3_p23():
+    # fib i=3, k=10 is (2, 5, 233).  233 itself has 24 representations: 23
+    # over the pair, plus x_{i+k} alone.  So the Proposition's 233 is not
+    # g_23; 231, with 23, is.  The branch stays as published, flagged verbatim.
+    tup = triple("fib", 3, 10)
+    assert tup.gens == (2, 5, 233)
+    assert denumerant(233, tup) == 24
+    assert denumerant(231, tup) == 23
+    assert p_frobenius(tup, 23) == p_frobenius_scan(tup, 23) == 231
+    res = gp_fib(3, 10, 23)
+    assert (res.value, str(res.tag)) == (233, "Prop/k>=i+7")
 
 
 # ----------------------------------------------------- exceptional constants
@@ -179,6 +193,7 @@ def test_verbatim_flags_sit_exactly_where_intended():
     assert np_fib(5, 6, 3).tag.verbatim  # N3 at k=i+1
     assert not np_fib(5, 5, 3).tag.verbatim
     assert not gp_fib(6, 4, 2).tag.verbatim
+    assert gp_fib(3, 10, 23).tag.verbatim  # Prop, which fails at this point
 
 
 # ------------------------------------------------------------- the big sweep

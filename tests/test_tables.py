@@ -6,7 +6,7 @@ import pytest
 from froblab.closed_forms import params, triple
 from froblab.denumerant import GeneratorTuple
 from froblab.sequences import fib
-from froblab.tables import Cell, ResidueTable, _least_cell, build_table, export_json, render_ascii
+from froblab.tables import Cell, ResidueTable, build_table, export_json, render_ascii
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -118,27 +118,6 @@ def test_grid_stays_inside_theoretical_bounds(worked_example):
     assert worked_example.height <= pr.r + pr.p + 3
 
 
-def test_duplicate_value_goes_to_smallest_row_then_column():
-    # 40 = 8*5 + 0*8 = 0*5 + 5*8 over (a2, a3) = (5, 8): row 0 wins
-    assert _least_cell(40, 5, 8) == (8, 0)
-    # and when only the higher row works, it is found
-    assert _least_cell(8, 5, 8) == (0, 1)
-    assert _least_cell(3, 5, 8) is None
-
-
-@pytest.mark.parametrize("a2, a3", [(5, 8), (21, 55), (8, 5), (6, 9), (10, 15), (4, 6), (12, 18), (7, 7), (3, 12)])
-def test_least_cell_matches_linear_search(a2, a3):
-    def linear(m):
-        for y in range(m // a3 + 1):
-            if (m - y * a3) % a2 == 0:
-                return ((m - y * a3) // a2, y)
-        return None
-
-    expected = [linear(m) for m in range(3000)]
-    assert [_least_cell(m, a2, a3) for m in range(3000)] == expected
-    assert None in expected[:100]  # non-representable m are exercised
-
-
 def test_empty_table_renders_header_only():
     pr = params("fib", 6, 4, 0)
     empty = ResidueTable(pr, triple("fib", 6, 4), (), (), ())
@@ -212,3 +191,11 @@ def test_repeated_values_take_their_decompositions_in_row_order():
         want = _first_points_by_value_then_row(*table.gens.gens, p_max)
         assert got == want, (kind, i, k, p_max)
 
+
+def test_rows_never_grow():
+    # the staircase that lets the box width be read off the first row
+    for kind, i, k, p_max in TRIPLE_GRID:
+        table = build_table(kind, i, k, p_max)
+        extents = list(table.row_extents)
+        assert extents == sorted(extents, reverse=True), (kind, i, k, p_max)
+        assert table.width * table.height == len(table.cells)
