@@ -1,4 +1,5 @@
 import json
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,32 @@ def test_grid_stays_inside_theoretical_bounds(worked_example):
     pr = worked_example.params
     assert worked_example.width <= (pr.p + 2) * fib(pr.k)
     assert worked_example.height <= pr.r + pr.p + 3
+
+
+def test_duplicate_value_goes_to_smallest_row_then_column():
+    # fib i=3, k=3 is (2, 5, 8): 40 = 8*5 + 0*8 = 0*5 + 5*8, and row 0 takes it first
+    table = build_table("fib", 3, 3, 20)
+    assert table.cell(8, 0).value == table.cell(0, 5).value == 40
+    assert table.cell(0, 5).level == table.cell(8, 0).level + 1
+    # when only the higher row works, the value is still annotated there
+    assert table.cell(0, 1).value == 8
+    assert table.cell(0, 1).level == 2
+    assert all(c.value != 3 for c in table.cells)
+
+
+@pytest.mark.parametrize("a2, a3", [(5, 8), (21, 55), (8, 5), (6, 9), (10, 15), (4, 6), (12, 18), (7, 7), (3, 12)])
+def test_least_cell_matches_linear_search(a2, a3):
+    # build_table numbers the decompositions of a value by y // step; the
+    # least one (smallest y, as a linear search finds it) must be number 0
+    def linear(m):
+        return [((m - y * a3) // a2, y) for y in range(m // a3 + 1) if (m - y * a3) % a2 == 0]
+
+    step = a2 // gcd(a2, a3)
+    points = [linear(m) for m in range(3000)]
+    for pts in points:
+        assert [y // step for _, y in pts] == list(range(len(pts)))
+    assert [] in points[:100]  # non-representable m are exercised
+    assert any(len(pts) > 2 for pts in points)  # and repeated decompositions
 
 
 def test_empty_table_renders_header_only():
