@@ -148,32 +148,53 @@ def render_ascii(table: ResidueTable, mode: str = "value") -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_json(table: ResidueTable) -> str:
-    """Stable JSON document (sorted keys, two-space indent, trailing newline)."""
-    import json
+# export_json writes json.dumps(doc, sort_keys=True, indent=2) + "\n" by hand;
+# the stdlib encoder runs in pure Python once it indents.
+_CELL = '    {\n      "level": %s,\n      "residue": %d,\n      "value": %d,\n      "x": %d,\n      "y": %d\n    }'
+_LEVEL = '    {\n      "elements": %s,\n      "level": %d,\n      "p": %d\n    }'
+_AFTER_CELLS = """,
+  "ell": %d,
+  "generators": %s,
+  "i": %d,
+  "k": %d,
+  "kind": "%s",
+  "levels": %s,
+  "p_max": %d,
+  "r": %d
+}
+"""
 
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of already-indented items, closed at ``indent``."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def export_json(table: ResidueTable) -> str:
+    """Stable JSON document (sorted keys, two-space indent, trailing newline).
+
+    Keys ``cells``, ``ell``, ``generators``, ``i``, ``k``, ``kind``,
+    ``levels`` (``elements`` ascending, ``level``, ``p``), ``p_max`` and
+    ``r``; each cell has ``level`` (``null`` when unannotated), ``residue``,
+    ``value``, ``x`` and ``y``.
+    """
     pr = table.params
-    doc = {
-        "kind": pr.kind.value,
-        "i": pr.i,
-        "k": pr.k,
-        "p_max": pr.p,
-        "generators": list(table.gens.gens),
-        "r": pr.r,
-        "ell": pr.ell,
-        "levels": [
-            {"level": q + 1, "p": q, "elements": sorted(aset.elements)}
-            for q, aset in enumerate(table.levels)
-        ],
-        "cells": [
-            {
-                "x": c.x,
-                "y": c.y,
-                "value": c.value,
-                "residue": c.residue,
-                "level": c.level,
-            }
-            for c in table.cells
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    levels = [
+        _LEVEL % (_json_list(["        %d" % e for e in sorted(aset.elements)], "      "), q + 1, q)
+        for q, aset in enumerate(table.levels)
+    ]
+    after = _AFTER_CELLS % (
+        pr.ell, _json_list(["    %d" % g for g in table.gens.gens], "  "),
+        pr.i, pr.k, pr.kind.value, _json_list(levels, "  "), pr.p, pr.r,
+    )
+    cells = [
+        _CELL % ("null" if c.level is None else c.level, c.residue, c.value, c.x, c.y)
+        for c in table.cells
+    ]
+    if not cells:
+        return '{\n  "cells": []' + after
+    # the cells are most of the document, so it is built by this one join and
+    # never copied: the rest rides on the first and the last cell
+    cells[0] = '{\n  "cells": [\n' + cells[0]
+    cells[-1] += "\n  ]" + after
+    return ",\n".join(cells)

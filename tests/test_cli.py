@@ -633,6 +633,21 @@ def test_cli_import_stays_single_process():
     assert proc.stdout == "[]\n"
 
 
+def test_table_json_does_not_load_json():
+    # export_json writes its document from templates; the verdict goes to
+    # stderr, after the table on stdout
+    code = ("import sys; before = 'json' in sys.modules; import froblab.cli; "
+            "rc = froblab.cli.run(['table', '--kind', 'fib', '--i', '6', '--k', '4', "
+            "'--pmax', '4', '--format', 'json']); "
+            "print(rc, not before and 'json' in sys.modules, file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == tables.export_json(tables.build_table("fib", 6, 4, 4))
+    assert proc.stderr == "0 False\n"
+
+
 def test_console_script_target_runs():
     tomllib = pytest.importorskip("tomllib")
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]

@@ -226,3 +226,47 @@ def test_rows_never_grow():
         extents = list(table.row_extents)
         assert extents == sorted(extents, reverse=True), (kind, i, k, p_max)
         assert table.width * table.height == len(table.cells)
+
+
+def _stdlib_json(table):
+    """The document as the stdlib encoder writes it: export_json's reference."""
+    pr = table.params
+    doc = {
+        "kind": pr.kind.value,
+        "i": pr.i,
+        "k": pr.k,
+        "p_max": pr.p,
+        "generators": list(table.gens.gens),
+        "r": pr.r,
+        "ell": pr.ell,
+        "levels": [
+            {"level": q + 1, "p": q, "elements": sorted(aset.elements)}
+            for q, aset in enumerate(table.levels)
+        ],
+        "cells": [
+            {"x": c.x, "y": c.y, "value": c.value, "residue": c.residue, "level": c.level}
+            for c in table.cells
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_export_json_matches_the_stdlib_encoder():
+    # 760 tables, none refused by the budget
+    for kind in ("fib", "lucas"):
+        for i in range(3, 11):
+            for k in range(3, i + 6):
+                for p_max in range(5):
+                    table = build_table(kind, i, k, p_max)
+                    assert export_json(table) == _stdlib_json(table), (kind, i, k, p_max)
+
+
+def test_export_json_of_empty_lists_and_huge_values():
+    # no levels and no cells give "[]", and an int of any size is written exactly
+    pr = params("fib", 6, 4, 0)
+    empty = ResidueTable(pr, triple("fib", 6, 4), (), (), ())
+    assert export_json(empty) == _stdlib_json(empty)
+    big = 10**80 + 7
+    table = build_table("fib", 3, 3, 0)
+    huge = table._replace(cells=(Cell(0, 0, big, big % 2, None), Cell(1, 0, -big, 1, 1)))
+    assert export_json(huge) == _stdlib_json(huge)
