@@ -168,6 +168,15 @@ def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...],
     return tuple(tuple(map(itemgetter(p), smallest)) for p in range(keep))
 
 
+def _check_budget(tup: GeneratorTuple, p_max: int) -> None:
+    """``ValueError`` if a walk of ``tup`` to level ``p_max`` is over :data:`VALUE_BUDGET`."""
+    if tup.a1 * (p_max + 2) > VALUE_BUDGET:
+        raise ValueError(
+            f"{tup} at levels 0..{p_max} needs a_1*(p_max+2) = {tup.a1 * (p_max + 2)}, "
+            f"over the budget of {VALUE_BUDGET}"
+        )
+
+
 def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[AperySet, ...]:
     """Level-``0..p_max`` Apery sets of ``gens`` from one residue walk.
 
@@ -182,11 +191,7 @@ def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[Ap
         raise ValueError(f"p_max must be >= 0, got {p_max}")
     if tup.a1 == 1:
         raise DegenerateTupleError(f"smallest generator of {tup} is 1")
-    if tup.a1 * (p_max + 2) > VALUE_BUDGET:
-        raise ValueError(
-            f"{tup} at levels 0..{p_max} needs a_1*(p_max+2) = {tup.a1 * (p_max + 2)}, "
-            f"over the budget of {VALUE_BUDGET}"
-        )
+    _check_budget(tup, p_max)
     return tuple(
         AperySet(tup, p, elements)
         for p, elements in enumerate(_apery_elements(tup.gens, p_max))

@@ -14,7 +14,8 @@ Every command answers from one residue walk (``exact`` too, from levels
 tuple whose ``a_1 * (p + 2)`` exceeds :data:`froblab.apery.VALUE_BUDGET`
 (5,000,000); ``table`` also refuses a box of more cells than that.  A
 sequence index above :data:`froblab.sequences.MAX_INDEX` (20,000) is
-refused the same way.
+refused the same way, by ``verify`` for its grid's largest triple before
+its first walk.  Every command except ``table`` writes through :func:`_write`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import sys
 import time
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .apery import DegenerateTupleError, apery_levels, apery_set, p_frobenius
+from .apery import DegenerateTupleError, _check_budget, apery_levels, apery_set, p_frobenius
 from .closed_forms import (
+    Computation,
     NotCoveredError,
     TripleParams,
     closed_g,
@@ -83,6 +85,14 @@ class SweepSpec(NamedTuple):
                 for k in range(max(k_lo, 3), k_hi + 1):
                     out.append((kind, i, k))
         return out
+
+    def largest(self) -> Optional[tuple[int, int]]:
+        """``(i, k)`` of the largest triples: the last ``i`` with a ``k`` range, at its top."""
+        i = self.i_hi
+        if self.k_lo[0] == "i" and self.k_hi[0] is None:  # the k range empties from some i on
+            i = min(i, self.k_hi[1] - self.k_lo[1])
+        k_hi = _bound_at(self.k_hi, i)
+        return (i, k_hi) if i >= self.i_lo and max(_bound_at(self.k_lo, i), 3) <= k_hi else None
 
 
 def _bound_at(bound: tuple[Optional[str], int], i: int) -> int:
@@ -191,22 +201,17 @@ class VerifyReport(NamedTuple):
         lines.append("OK" if self.ok else "FAIL")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        return _json_text({"summary": self.summary(), "mismatches": self.mismatches, "ok": self.ok})
-
-    def to_csv(self) -> str:
-        return _csv_text(_CSV_COLUMNS, ([r[c] for c in _CSV_COLUMNS] for r in self.rows))
-
 
 def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None) -> VerifyReport:
     """Evaluate closed forms against the Apery oracle over a grid."""
     t0 = time.monotonic()
     levels = range(spec.p_lo, spec.p_hi + 1)
-    triples = spec.triples() if levels else []
-    if triples and spec.i_lo < 3:
-        raise ValueError(f"i must be >= 3, got {spec.i_lo}")
     if levels and spec.p_lo < 0:
         raise ValueError(f"p must be >= 0, got {spec.p_lo}")
+    top = spec.largest() if levels else None  # checked before the grid is listed
+    for kind in spec.kinds if top else ():
+        _check_budget(triple(kind, *top), spec.p_hi)
+    triples = spec.triples() if top else []
     rows: list[dict] = []
     for idx, (kind, i, k) in enumerate(triples):
         rows.extend(_sweep_point(kind, i, k, levels, spec.quantities))
@@ -226,11 +231,12 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
     levels = range(p_lo, p_hi + 1)
     if levels and p_lo < 0:
         raise ValueError(f"p must be >= 0, got {p_lo}")
+    thresholds = {p: h for p in levels if (h := proposition_h(p)) is not None}
+    if thresholds and i_values:  # the largest triple, at the top level, before any walk
+        i_top = max(i_values)
+        _check_budget(triple("fib", i_top, i_top + max(thresholds.values()) + 1), max(thresholds))
     rows = []
-    for p in levels:
-        h = proposition_h(p)
-        if h is None:
-            continue
+    for p, h in thresholds.items():
         for i in i_values:
             for k in (i + h, i + h + 1):
                 expected = gp_fib_two_gen(i, p)
@@ -280,10 +286,6 @@ def _parse_k_span(text: str) -> tuple[tuple[Optional[str], int], tuple[Optional[
     return _parse_k_bound(lo), _parse_k_bound(hi)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
 def _note(args, text: str) -> None:
     if not args.quiet:
         print(text, file=sys.stderr)
@@ -321,11 +323,10 @@ def _csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
 def _write(args, doc, columns, rows, text: str, indent: Optional[int] = 2) -> None:
     """Emit one command's result as ``doc``, as ``rows`` under ``columns``, or as ``text``."""
     if args.format == "json":
-        _emit(_json_text(doc, indent))
+        text = _json_text(doc, indent)
     elif args.format == "csv":
-        _emit(_csv_text(columns, rows))
-    else:
-        _emit(text)
+        text = _csv_text(columns, rows)
+    sys.stdout.write(text)
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +334,6 @@ def _write(args, doc, columns, rows, text: str, indent: Optional[int] = 2) -> No
 
 def _cmd_compute(args) -> int:
     quantities = _QUANTITIES if args.what == "both" else (args.what,)
-    results = []
     if args.gens is not None:
         tup = _parse_gens(args.gens)
         if tup.a1 == 1:
@@ -342,9 +342,10 @@ def _cmd_compute(args) -> int:
             raise NotCoveredError("closed forms exist only for --kind triples")
         aset = apery_set(tup, args.p)
         header = {"gens": list(tup.gens), "p": args.p}
-        for qty in quantities:
-            value = aset.frobenius() if qty == "g" else aset.sylvester()
-            results.append({"quantity": qty, "value": value, "method": "oracle", "tag": None})
+        comps = [
+            Computation(aset.frobenius() if qty == "g" else aset.sylvester(), "oracle", None)
+            for qty in quantities
+        ]
     else:
         tup = triple(args.kind, args.i, args.k)
         header = {
@@ -354,26 +355,19 @@ def _cmd_compute(args) -> int:
             "gens": list(tup.gens),
             "p": args.p,
         }
-        for qty in quantities:
-            fn = compute_g if qty == "g" else compute_n
-            comp = fn(args.kind, args.i, args.k, args.p, method=args.method)
-            results.append(
-                {
-                    "quantity": qty,
-                    "value": comp.value,
-                    "method": comp.path,
-                    "tag": str(comp.tag) if comp.tag else None,
-                }
-            )
+        comps = [
+            (compute_g if qty == "g" else compute_n)(args.kind, args.i, args.k, args.p, method=args.method)
+            for qty in quantities
+        ]
 
-    gens_str = "(" + ", ".join(str(g) for g in header["gens"]) + ")"
-    lines = []
-    for r in results:
-        how = r["method"] + (f" {r['tag']}" if r["tag"] else "")
-        lines.append(f"{r['quantity']}_{args.p}{gens_str} = {r['value']}  [{how}]\n")
     columns = ("quantity", "value", "method", "tag")
-    rows = [[r[c] for c in columns] for r in results]
-    _write(args, {**header, "results": results}, columns, rows, "".join(lines))
+    rows = [(qty, c.value, c.path, str(c.tag) if c.tag else None) for qty, c in zip(quantities, comps)]
+    text = "".join(
+        f"{qty}_{args.p}{tup} = {value}  [{path}{f' {tag}' if tag else ''}]\n"
+        for qty, value, path, tag in rows
+    )
+    results = [dict(zip(columns, row)) for row in rows]
+    _write(args, {**header, "results": results}, columns, rows, text)
     return EXIT_OK
 
 
@@ -395,12 +389,9 @@ def _cmd_verify(args) -> int:
             grid["p_lo"], grid["p_hi"] = _parse_int_span(args.p)
         report = run_sweep(SweepSpec(**grid), progress=lambda m: _note(args, m))
 
-    if args.format == "json":
-        _emit(report.to_json())
-    elif args.format == "csv":
-        _emit(report.to_csv())
-    else:
-        _emit(report.to_text())
+    doc = {"summary": report.summary(), "mismatches": report.mismatches, "ok": report.ok}
+    rows = ([r[c] for c in _CSV_COLUMNS] for r in report.rows)
+    _write(args, doc, _CSV_COLUMNS, rows, report.to_text())
     _note(args, f"wall time: {report.wall_s:.2f}s")
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
@@ -408,11 +399,11 @@ def _cmd_verify(args) -> int:
 def _cmd_table(args) -> int:
     table = build_table(args.kind, args.i, args.k, args.pmax)
     if args.format == "json":
-        _emit(export_json(table))
+        sys.stdout.write(export_json(table))
     elif args.format == "csv":
-        _emit(_csv_text(Cell._fields, table.cells))
+        sys.stdout.write(_csv_text(Cell._fields, table.cells))
     else:
-        _emit(render_ascii(table, mode=args.mode))
+        sys.stdout.write(render_ascii(table, mode=args.mode))
     return EXIT_OK
 
 

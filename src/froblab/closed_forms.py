@@ -87,9 +87,9 @@ def params(kind: "SequenceKind | str", i: int, k: int, p: int = 0) -> TriplePara
 
 
 def triple(kind: "SequenceKind | str", i: int, k: int) -> GeneratorTuple:
-    """The generator tuple ``(x_i, x_{i+2}, x_{i+k})`` itself."""
-    kind = SequenceKind.parse(kind)
-    return GeneratorTuple((seq(kind, i), seq(kind, i + 2), seq(kind, i + k)))
+    """The generator tuple ``(x_i, x_{i+2}, x_{i+k})``, with the checks of :func:`params`."""
+    pr = params(kind, i, k)
+    return GeneratorTuple((pr.x_i, pr.x_i2, pr.x_ik))
 
 
 class CaseTag(NamedTuple):

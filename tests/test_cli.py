@@ -33,6 +33,31 @@ def run_cli(capsys, *argv):
 
 # ------------------------------------------------------------------ compute
 
+@pytest.mark.parametrize("gens, family", [
+    ("8,21,55", ("--kind", "fib", "--i", "6", "--k", "4", "--p", "2")),
+    ("4,11,18", ("--kind", "lucas", "--i", "3", "--k", "3", "--p", "3")),  # criterion 4, g = 65
+])
+def test_compute_gens_and_family_share_one_result_path(capsys, gens, family):
+    p = family[-1]
+    for fmt in ("text", "csv", "json"):
+        by_gens = run_cli(capsys, "compute", "--gens", gens, "--p", p, "--format", fmt)
+        by_family = run_cli(capsys, "compute", *family, "--method", "oracle", "--format", fmt)
+        assert by_gens[0] == by_family[0] == 0
+        if fmt == "json":  # only the header differs
+            assert json.loads(by_gens[1])["results"] == json.loads(by_family[1])["results"]
+        else:
+            assert by_gens[1] == by_family[1]
+
+
+@pytest.mark.parametrize("method", ["auto", "closed", "oracle"])
+@pytest.mark.parametrize("kind, i, k", [("fib", 4, 1), ("lucas", 0, 3), ("fib", 2, 5)])
+def test_compute_refuses_indices_below_three_under_every_method(capsys, method, kind, i, k):
+    code, out, err = run_cli(capsys, "compute", "--kind", kind, "--i", str(i), "--k", str(k),
+                             "--method", method)
+    assert (code, out) == (2, "")
+    assert "must be >= 3" in err
+
+
 def test_compute_family_point_text(capsys):
     code, out, _ = run_cli(
         capsys, "compute", "--kind", "fib", "--i", "6", "--k", "4", "--p", "2", "--what", "g"
@@ -133,6 +158,9 @@ def test_exit_closed_form_not_covered(capsys):
         ("compute", "--kind", "fib", "--i", "29", "--k", "4", "--p", "10", "--method", "oracle"),
         ("table", "--kind", "lucas", "--i", "40", "--k", "3"),
         ("verify", "--kind", "fib", "--i", "40..40", "--k", "3..3", "--p", "0..0", "--quiet"),
+        # the grid's largest triple is checked before the first walk
+        ("verify", "--i", "3..40", "--k", "3..3", "--p", "0", "--quiet"),
+        ("verify", "--proposition", "--i", "3..40", "--p", "3..3", "--quiet"),
         ("exact", "--gens", "1000000007,1000000009", "--p", "0"),
     ],
 )
@@ -147,6 +175,30 @@ def test_over_budget_is_a_usage_error(capsys, argv):
     assert (code, out) == (2, "")
     assert "over the budget of 5000000" in err
     assert peak < 10_000_000
+
+
+def test_verify_grid_over_index_bound_is_refused_before_any_walk(capsys, monkeypatch):
+    def walked(*args):
+        raise AssertionError("walked a triple")
+
+    monkeypatch.setattr(cli, "_sweep_point", walked)
+    code, out, err = run_cli(capsys, "verify", "--i", "3..20000", "--k", "3..3", "--p", "0", "--quiet")
+    assert (code, out) == (2, "")
+    assert "over the bound of 20000" in err
+    # an empty grid has no largest triple and still exits 0
+    code, out, _ = run_cli(capsys, "verify", "--i", "3..40", "--k", "1..2", "--quiet")
+    assert code == 0 and out.startswith("checked 0 values")
+
+
+_BOUNDS = st.tuples(st.sampled_from([None, "i"]), st.integers(-6, 12))
+
+
+@given(st.integers(0, 12), st.integers(0, 12), _BOUNDS, _BOUNDS)
+@settings(max_examples=300, deadline=None)
+def test_largest_is_the_last_listed_triple(i_lo, i_hi, k_lo, k_hi):
+    spec = cli.SweepSpec(("fib",), i_lo, i_hi, k_lo, k_hi)
+    listed = spec.triples()
+    assert spec.largest() == (listed[-1][1:] if listed else None)
 
 
 def test_high_level_on_small_tuple_stays_small(capsys):
