@@ -23,12 +23,10 @@ smallest values per residue and adds the generators one at a time with a
 round-robin walk over the cycles of ``+a_j mod a_1`` (Böcker & Lipták,
 "A fast and simple algorithm for the money changing problem", 2007, on
 the residue graph of Nijenhuis, 1979), extended from one value per
-residue to ``p+1``.  The first generator needs no walk: starting from
-``{0}``, residue ``t*a_2 mod a_1`` holds exactly ``t*a_2 + w*lap`` for
-``w <= p``, where ``lap`` is ``a_2`` times the length of its cycle.  Each
-later generator takes two laps per cycle.  The first is one selection: the
-``p+1`` smallest values that reach the cycle's start, taken over every
-value on the cycle at once.  The second walks the cycle once, merging each
+residue to ``p+1``.  Starting from ``{0}``, every generator after ``a_1``
+takes two laps per cycle.  The first is one selection: the ``p+1``
+smallest values that reach the cycle's start, taken over every value on
+the cycle at once.  The second walks the cycle once, merging each
 residue's list with its settled predecessor's shifted by ``a_j``, and skips
 the merge when the list is full and no arrival is smaller than its last
 value.  One call gives every level ``0..p`` for
@@ -108,39 +106,28 @@ class AperySet(NamedTuple):
 @lru_cache(maxsize=1)
 def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...], ...]:
     """Apery elements of levels ``0..p_max``, one residue-indexed tuple each."""
-    a1, a = gens[0], gens[1]
+    a1 = gens[0]
     keep = p_max + 1
     # smallest[j]: the `keep` smallest combinations of the generators added
     # so far that are ≡ j (mod a1), with multiplicity, ascending.  Adding a
     # links residue j to j + a; the residues fall into cycles, and a full
     # trip round one adds `lap`.
     smallest: list[tuple[int, ...]] = [()] * a1
-    step = a % a1
-    length = a1 // gcd(step, a1)
-    lap = length * a
-    # First generator, from {0}: the multiples of a at residue t*step are
-    # exactly t*a + w*lap, so that pass needs no merging.  They are built as
-    # sums, not range() items: CPython gives a multi-digit sum one spare
-    # digit, the later passes free these values for sums of that size, and
-    # range() values left the freed memory unused (peak RSS 129 MB, not
-    # 115 MB, at a1 = 121393, p = 10).
-    for t in range(length):
-        smallest[t * step % a1] = tuple(t * a + w * lap for w in range(keep))
-    for a in gens[2:]:
+    smallest[0] = (0,)
+    for a in gens[1:]:
         step = a % a1
         cycles = gcd(step, a1)
         length = a1 // cycles
         lap = length * a
         for start in range(cycles):
-            cycle = [(start + t * step) % a1 for t in range(length)]
-            # First lap: what reaches `start` from residue cycle[t] has gone
-            # (length - t) % length steps of a; keep the smallest overall.
+            # First lap: what reaches `start` from residue start + t*step has
+            # gone (length - t) % length steps of a; keep the smallest overall.
             reach = heapq.nsmallest(
                 keep,
                 (
                     v + (length - t) % length * a
-                    for t, j in enumerate(cycle)
-                    for v in smallest[j]
+                    for t in range(length)
+                    for v in smallest[(start + t * step) % a1]
                 ),
             )
             if not reach:  # no value on this cycle yet
@@ -154,7 +141,8 @@ def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...],
             )
             # Second lap: each residue from its settled predecessor.  A full
             # list whose largest value is at most the least arrival is final.
-            for j in cycle[1:]:
+            for t in range(1, length):
+                j = (start + t * step) % a1
                 own = smallest[j]
                 if len(own) < keep or own[-1] > prev[0] + a:
                     merged = [v + a for v in prev]
@@ -168,12 +156,19 @@ def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...],
     return tuple(tuple(map(itemgetter(p), smallest)) for p in range(keep))
 
 
+def _short(n: int) -> str:
+    """``n`` itself, or its digit count once it would not fit on a line."""
+    text = str(n)
+    return text if len(text) <= 20 else f"({len(text)} digits)"
+
+
 def _check_budget(tup: GeneratorTuple, p_max: int) -> None:
     """``ValueError`` if a walk of ``tup`` to level ``p_max`` is over :data:`VALUE_BUDGET`."""
-    if tup.a1 * (p_max + 2) > VALUE_BUDGET:
+    need = tup.a1 * (p_max + 2)
+    if need > VALUE_BUDGET:
         raise ValueError(
-            f"{tup} at levels 0..{p_max} needs a_1*(p_max+2) = {tup.a1 * (p_max + 2)}, "
-            f"over the budget of {VALUE_BUDGET}"
+            f"a_1 = {_short(tup.a1)} at levels 0..{_short(p_max)} needs "
+            f"a_1*(p_max+2) = {_short(need)}, over the budget of {VALUE_BUDGET}"
         )
 
 

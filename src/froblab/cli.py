@@ -30,7 +30,6 @@ from .apery import DegenerateTupleError, _check_budget, apery_levels, apery_set,
 from .closed_forms import (
     Computation,
     NotCoveredError,
-    TripleParams,
     closed_g,
     closed_n,
     compute_g,
@@ -100,28 +99,24 @@ def _bound_at(bound: tuple[Optional[str], int], i: int) -> int:
     return (i + off) if sym == "i" else off
 
 
-def _row(
-    kind: str, i: int, k: int, p: int, pr: TripleParams, quantity: str,
-    closed: int, oracle: int, tag: str, verbatim: bool, match: Optional[bool],
-) -> dict:
-    """One report row: the CSV columns plus ``verbatim``."""
-    return {
-        "kind": kind,
-        "i": i,
-        "k": k,
-        "p": p,
-        "r": pr.r,
-        "ell": pr.ell,
-        "quantity": quantity,
-        "closed_value": closed,
-        "oracle_value": oracle,
-        "case_tag": tag,
-        "verbatim": verbatim,
-        "match": match,
-    }
+class Row(NamedTuple):
+    """One report row: the CSV columns in order, then ``verbatim``."""
+
+    kind: str
+    i: int
+    k: int
+    p: int
+    r: int
+    ell: int
+    quantity: str
+    closed_value: int
+    oracle_value: int
+    case_tag: str
+    match: Optional[bool]
+    verbatim: bool
 
 
-def _sweep_point(kind: str, i: int, k: int, levels: range, quantities: tuple[str, ...]) -> list[dict]:
+def _sweep_point(kind: str, i: int, k: int, levels: range, quantities: tuple[str, ...]) -> list[Row]:
     """Rows for one triple at every level of ``levels``, from one oracle call."""
     asets = apery_levels(triple(kind, i, k), levels[-1])
     pr = params(kind, i, k)  # r and ell do not depend on p
@@ -131,41 +126,34 @@ def _sweep_point(kind: str, i: int, k: int, levels: range, quantities: tuple[str
             res = closed_g(kind, i, k, p) if qty == "g" else closed_n(kind, i, k, p)
             oracle = asets[p].frobenius() if qty == "g" else asets[p].sylvester()
             match = (res.value == oracle) if res.covered else None
-            rows.append(
-                _row(kind, i, k, p, pr, qty, res.value, oracle, str(res.tag), res.tag.verbatim, match)
-            )
+            tag = res.tag
+            rows.append(Row(kind, i, k, p, pr.r, pr.ell, qty, res.value, oracle, str(tag), match, tag.verbatim))
     return rows
 
 
-_CSV_COLUMNS = (
-    "kind", "i", "k", "p", "r", "ell", "quantity",
-    "closed_value", "oracle_value", "case_tag", "match",
-)
-
-
 class VerifyReport(NamedTuple):
-    rows: list[dict]
+    rows: list[Row]
     wall_s: float = 0.0
 
     @property
     def points(self) -> int:
-        return len({(r["kind"], r["i"], r["k"], r["p"]) for r in self.rows})
+        return len({(r.kind, r.i, r.k, r.p) for r in self.rows})
 
     @property
-    def covered(self) -> list[dict]:
-        return [r for r in self.rows if r["match"] is not None]
+    def covered(self) -> list[Row]:
+        return [r for r in self.rows if r.match is not None]
 
     @property
-    def oracle_only(self) -> list[dict]:
-        return [r for r in self.rows if r["match"] is None]
+    def oracle_only(self) -> list[Row]:
+        return [r for r in self.rows if r.match is None]
 
     @property
-    def mismatches(self) -> list[dict]:
-        return [r for r in self.rows if r["match"] is False]
+    def mismatches(self) -> list[Row]:
+        return [r for r in self.rows if r.match is False]
 
     @property
-    def verbatim_mismatches(self) -> list[dict]:
-        return [r for r in self.mismatches if r["verbatim"]]
+    def verbatim_mismatches(self) -> list[Row]:
+        return [r for r in self.mismatches if r.verbatim]
 
     @property
     def ok(self) -> bool:
@@ -191,12 +179,12 @@ class VerifyReport(NamedTuple):
             f"oracle-only: {s['oracle_only']}",
         ]
         for r in self.mismatches:
-            flag = " [verbatim]" if r["verbatim"] else ""
+            flag = " [verbatim]" if r.verbatim else ""
             lines.append(
-                f"MISMATCH{flag} {r['quantity']} kind={r['kind']} i={r['i']} "
-                f"k={r['k']} p={r['p']} r={r['r']} ell={r['ell']}: "
-                f"closed={r['closed_value']} oracle={r['oracle_value']} "
-                f"tag={r['case_tag']}"
+                f"MISMATCH{flag} {r.quantity} kind={r.kind} i={r.i} "
+                f"k={r.k} p={r.p} r={r.r} ell={r.ell}: "
+                f"closed={r.closed_value} oracle={r.oracle_value} "
+                f"tag={r.case_tag}"
             )
         lines.append("OK" if self.ok else "FAIL")
         return "\n".join(lines) + "\n"
@@ -212,7 +200,7 @@ def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None)
     for kind in spec.kinds if top else ():
         _check_budget(triple(kind, *top), spec.p_hi)
     triples = spec.triples() if top else []
-    rows: list[dict] = []
+    rows: list[Row] = []
     for idx, (kind, i, k) in enumerate(triples):
         rows.extend(_sweep_point(kind, i, k, levels, spec.quantities))
         if progress and (idx + 1) % 10 == 0:
@@ -243,7 +231,7 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
                 oracle = p_frobenius(triple("fib", i, k), p)
                 pr = params("fib", i, k, p)
                 tag = f"Prop/k>=i+{h}"
-                rows.append(_row("fib", i, k, p, pr, "g", expected, oracle, tag, True, expected == oracle))
+                rows.append(Row("fib", i, k, p, pr.r, pr.ell, "g", expected, oracle, tag, expected == oracle, True))
     return VerifyReport(rows, wall_s=time.monotonic() - t0)
 
 
@@ -389,9 +377,9 @@ def _cmd_verify(args) -> int:
             grid["p_lo"], grid["p_hi"] = _parse_int_span(args.p)
         report = run_sweep(SweepSpec(**grid), progress=lambda m: _note(args, m))
 
-    doc = {"summary": report.summary(), "mismatches": report.mismatches, "ok": report.ok}
-    rows = ([r[c] for c in _CSV_COLUMNS] for r in report.rows)
-    _write(args, doc, _CSV_COLUMNS, rows, report.to_text())
+    mismatches = [r._asdict() for r in report.mismatches]
+    doc = {"summary": report.summary(), "mismatches": mismatches, "ok": report.ok}
+    _write(args, doc, Row._fields[:-1], (r[:-1] for r in report.rows), report.to_text())
     _note(args, f"wall time: {report.wall_s:.2f}s")
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
@@ -554,3 +542,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

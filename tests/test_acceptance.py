@@ -149,11 +149,11 @@ def test_criterion_06_frobenius_sweeps_match_oracle():
 
 def test_criterion_07_sylvester_sweep_reports_verbatim_branches():
     report = run_sweep(SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("n",)))
-    silent = [r for r in report.mismatches if not r["verbatim"]]
+    silent = [r for r in report.mismatches if not r.verbatim]
     assert silent == [], f"non-verbatim mismatches: {silent}"
     # the report itself is the deliverable for the two pinned branches
     print(report.to_text())
-    mismatch_tags = {r["case_tag"] for r in report.mismatches}
+    mismatch_tags = {r.case_tag for r in report.mismatches}
     assert mismatch_tags == {"N3/k=i+1", "N3/k=i+2"}
     assert len(report.mismatches) == 19
     print(
@@ -234,12 +234,12 @@ def test_criterion_11_deep_grid_sweeps():
     lucas_report = run_sweep(SweepSpec(("lucas",), 3, 16, (None, 3), ("i", 5), 0, 8, ("g", "n")))
     wall = time.monotonic() - t0
     g_mismatches = [
-        r for rep in (fib_report, lucas_report) for r in rep.mismatches if r["quantity"] == "g"
+        r for rep in (fib_report, lucas_report) for r in rep.mismatches if r.quantity == "g"
     ]
     assert g_mismatches == [], g_mismatches
     assert lucas_report.mismatches == [], lucas_report.to_text()
-    assert all(r["verbatim"] for r in fib_report.mismatches), fib_report.to_text()
-    by_tag = Counter(r["case_tag"] for r in fib_report.mismatches)
+    assert all(r.verbatim for r in fib_report.mismatches), fib_report.to_text()
+    by_tag = Counter(r.case_tag for r in fib_report.mismatches)
     assert by_tag == {"N3/k=i+1": 15, "N3/k=i+2": 16}, by_tag
     assert wall < 60.0, f"took {wall:.1f}s single-threaded"
     print(

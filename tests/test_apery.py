@@ -94,7 +94,11 @@ def test_two_generator_closed_form_against_scan():
             if gcd(a, b) != 1:
                 continue
             for p in range(6):
-                assert p_frobenius_scan((a, b), p) == (p + 1) * a * b - a - b
+                g = (p + 1) * a * b - a - b
+                assert p_frobenius_scan((a, b), p) == g
+                # the walk's whole work on a pair is its first generator after a_1
+                assert p_frobenius((a, b), p) == g
+                assert 2 * p_sylvester((a, b), p) == (2 * p + 1) * a * b - a - b + 1
 
 
 TUPLE_POOL = [

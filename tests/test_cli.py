@@ -174,7 +174,20 @@ def test_over_budget_is_a_usage_error(capsys, argv):
         tracemalloc.stop()
     assert (code, out) == (2, "")
     assert "over the budget of 5000000" in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
     assert peak < 10_000_000
+
+
+def test_over_budget_message_names_long_numbers_by_digit_count(capsys):
+    # The grid's largest triple is (fib(8000), fib(8002), fib(16005)): a_1 has
+    # 1672 digits.  Filling the term cache to index 16005 takes about 9 MB, so
+    # the 10 MB peak above is not asserted here.
+    code, out, err = run_cli(capsys, "verify", "--i", "3..8000", "--p", "0")
+    assert (code, out) == (2, "")
+    assert err == (
+        "froblab: a_1 = (1672 digits) at levels 0..0 needs a_1*(p_max+2) = (1672 digits), "
+        "over the budget of 5000000\n"
+    )
 
 
 def test_verify_grid_over_index_bound_is_refused_before_any_walk(capsys, monkeypatch):
@@ -700,24 +713,35 @@ def test_table_json_does_not_load_json():
     assert proc.stderr == "0 False\n"
 
 
+def _seq_fib_10(*interpreter_args):
+    """``seq --kind fib --n 10`` in a child interpreter that fails on any warning."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-W", "error", *interpreter_args, "seq", "--kind", "fib", "--n", "10"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def test_console_script_target_runs():
     tomllib = pytest.importorskip("tomllib")
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     assert scripts["froblab"] == "froblab.cli:main"
     # what a generated console script does: set argv[0], call the target
     code = "import sys; sys.argv[0] = 'froblab'; from froblab.cli import main; sys.exit(main())"
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", code, "seq", "--kind", "fib", "--n", "10"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0
+    proc = _seq_fib_10("-c", code)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "55\n"
 
 
 def test_module_entry_point_runs():
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-m", "froblab", "seq", "--kind", "fib", "--n", "10"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0
+    proc = _seq_fib_10("-m", "froblab")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "55\n"
+
+
+def test_cli_module_runs_as_main():
+    proc = _seq_fib_10("-m", "froblab.cli")
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "55\n"
 
 

@@ -212,12 +212,12 @@ def test_oracle_equivalence_lucas_g():
 
 def test_oracle_equivalence_fib_n_reports_verbatim_branches():
     report = run_sweep(SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("n",)))
-    assert [r for r in report.mismatches if not r["verbatim"]] == []
-    tags = {r["case_tag"] for r in report.verbatim_mismatches}
+    assert [r for r in report.mismatches if not r.verbatim] == []
+    tags = {r.case_tag for r in report.verbatim_mismatches}
     assert tags == {"N3/k=i+1", "N3/k=i+2"}
     assert len(report.verbatim_mismatches) == 19
     # the N2 verbatim branch carries odd-looking coefficients but checks out
-    assert all(r["case_tag"] != "N2/k=i-1" for r in report.mismatches)
+    assert all(r.case_tag != "N2/k=i-1" for r in report.mismatches)
 
 
 def test_branch_totality_for_low_levels():

@@ -16,7 +16,7 @@ from froblab import (
     TripleParams,
     params,
 )
-from froblab.cli import SweepSpec, VerifyReport
+from froblab.cli import Row, SweepSpec, VerifyReport
 
 GENS = GeneratorTuple.of(8, 21, 55)
 PARAMS = params("fib", 6, 4, 2)
@@ -47,6 +47,12 @@ RECORDS = [
         ("kinds", "i_lo", "i_hi", "k_lo", "k_hi", "p_lo", "p_hi", "quantities"),
     ),
     (VerifyReport, ([], 1.5), ("rows", "wall_s")),
+    (
+        Row,
+        ("fib", 6, 4, 2, 2, 1, "g", 1170, 1170, "Thm3/general", True, False),
+        ("kind", "i", "k", "p", "r", "ell", "quantity",
+         "closed_value", "oracle_value", "case_tag", "match", "verbatim"),
+    ),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
