@@ -542,7 +542,3 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
-
-
-if __name__ == "__main__":
-    main()

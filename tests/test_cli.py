@@ -739,12 +739,6 @@ def test_module_entry_point_runs():
     assert proc.stdout == "55\n"
 
 
-def test_cli_module_runs_as_main():
-    proc = _seq_fib_10("-m", "froblab.cli")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "55\n"
-
-
 def test_quiet_silences_stderr(capsys):
     _, _, err = run_cli(
         capsys, "verify", "--kind", "fib", "--i", "3..3", "--k", "3..3",
