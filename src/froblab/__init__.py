@@ -1,9 +1,11 @@
 """froblab: exact level-p Frobenius and Sylvester numbers.
 
 Two independent routes to every quantity — closed forms where the
-Fibonacci/Lucas triple families admit them, and an exact Apery-set
-oracle everywhere — plus the machinery to compare the routes against
-each other.
+Fibonacci/Lucas triple families admit them (``closed_forms``), and an exact
+Apery-set walk everywhere (``apery``) — plus the dense count table
+(``denumerant``) that the tests hold both against.  The three import none of
+each other: they share only the tuple types of ``generators`` and the terms of
+``sequences``, and ``route`` alone picks between the closed form and the walk.
 
 The package re-exports each module's ``__all__``.  The lists are bound
 under private names: ``froblab.denumerant`` is the function of that name,
@@ -16,6 +18,10 @@ from .closed_forms import *
 from .closed_forms import __all__ as _closed_forms
 from .denumerant import *
 from .denumerant import __all__ as _denumerant
+from .generators import *
+from .generators import __all__ as _generators
+from .route import *
+from .route import __all__ as _route
 from .sequences import *
 from .sequences import __all__ as _sequences
 from .tables import *
@@ -23,4 +29,4 @@ from .tables import __all__ as _tables
 
 __version__ = "0.1.0"
 
-__all__ = [*_apery, *_closed_forms, *_denumerant, *_sequences, *_tables]
+__all__ = [*_apery, *_closed_forms, *_denumerant, *_generators, *_route, *_sequences, *_tables]

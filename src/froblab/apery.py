@@ -12,7 +12,8 @@ exactly:
   is ``sum(elements)/a_1 - (a_1 - 1)/2``, always an integer.
 
 Tuples with ``a_1 = 1`` have a single residue class and are refused with
-:class:`DegenerateTupleError`; the scan route below accepts them.
+:class:`DegenerateTupleError`; the scan route of :mod:`froblab.denumerant`
+accepts them.
 
 The Apery route never counts representations.  Writing
 ``n = x_1*a_1 + s`` with ``s`` a combination of ``a_2..a_l`` shows that
@@ -32,12 +33,6 @@ the merge when the list is full and no arrival is smaller than its last
 value.  One call gives every level ``0..p`` for
 ``O(l*a_1*(p+1)*log(p+1))`` integer operations; :data:`VALUE_BUDGET` bounds
 ``a_1*(p+2)``, the values plus one slot per residue for its list.
-
-Alongside it this module ships an independent scan route
-(:func:`p_frobenius_scan`, :func:`p_sylvester_scan`) that works straight
-off the dense count table of :mod:`froblab.denumerant` and never looks at
-residues.  The two routes share no code; keeping both alive is the
-point — each checks the other.
 """
 
 from __future__ import annotations
@@ -49,18 +44,15 @@ from math import gcd
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .denumerant import GeneratorTuple, denumerant_table
+from .generators import DegenerateTupleError, GeneratorTuple
 
 __all__ = [
     "VALUE_BUDGET",
-    "DegenerateTupleError",
     "AperySet",
     "apery_set",
     "apery_levels",
     "p_frobenius",
     "p_sylvester",
-    "p_frobenius_scan",
-    "p_sylvester_scan",
 ]
 
 
@@ -69,10 +61,6 @@ __all__ = [
 # values.  Checked before anything is allocated; the README gives the time and
 # peak memory of the largest family calls it admits.
 VALUE_BUDGET = 5_000_000
-
-
-class DegenerateTupleError(ValueError):
-    """The tuple contains 1, so every integer is representable at level 0."""
 
 
 class AperySet(NamedTuple):
@@ -162,12 +150,12 @@ def _short(n: int) -> str:
     return text if len(text) <= 20 else f"({len(text)} digits)"
 
 
-def _check_budget(tup: GeneratorTuple, p_max: int) -> None:
-    """``ValueError`` if a walk of ``tup`` to level ``p_max`` is over :data:`VALUE_BUDGET`."""
-    need = tup.a1 * (p_max + 2)
+def _check_budget(a1: int, p_max: int) -> None:
+    """``ValueError`` if a walk with ``a_1 = a1`` to level ``p_max`` is over :data:`VALUE_BUDGET`."""
+    need = a1 * (p_max + 2)
     if need > VALUE_BUDGET:
         raise ValueError(
-            f"a_1 = {_short(tup.a1)} at levels 0..{_short(p_max)} needs "
+            f"a_1 = {_short(a1)} at levels 0..{_short(p_max)} needs "
             f"a_1*(p_max+2) = {_short(need)}, over the budget of {VALUE_BUDGET}"
         )
 
@@ -186,7 +174,7 @@ def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[Ap
         raise ValueError(f"p_max must be >= 0, got {p_max}")
     if tup.a1 == 1:
         raise DegenerateTupleError(f"smallest generator of {tup} is 1")
-    _check_budget(tup, p_max)
+    _check_budget(tup.a1, p_max)
     return tuple(
         AperySet(tup, p, elements)
         for p, elements in enumerate(_apery_elements(tup.gens, p_max))
@@ -212,44 +200,3 @@ def p_frobenius(gens: "GeneratorTuple | Iterable[int]", p: int) -> int:
 def p_sylvester(gens: "GeneratorTuple | Iterable[int]", p: int) -> int:
     """Count of integers with at most ``p`` representations (Apery route)."""
     return apery_set(gens, p).sylvester()
-
-
-def _certified_counts(tup: GeneratorTuple, p: int) -> list[int]:
-    """A count table whose tail is provably past level ``p``.
-
-    Counts never decrease along a residue class as ``n`` steps by ``a_1``
-    (add one more copy of ``a_1``), so once the top ``a_1`` entries all
-    exceed ``p`` every integer beyond the table does too.
-    """
-    a1 = tup.a1
-    cap = (p + 1) * tup.gens[0] * tup.gens[1]
-    while True:
-        counts = denumerant_table(cap, tup).counts
-        if all(c > p for c in counts[cap - a1 + 1 :]):
-            return counts
-        cap *= 2
-
-
-def p_frobenius_scan(gens: "GeneratorTuple | Iterable[int]", p: int) -> int:
-    """Independent route: scan the raw count table downward.
-
-    Returns ``-1`` when no non-negative integer has at most ``p``
-    representations (only possible when 1 is a generator).
-    """
-    tup = GeneratorTuple(gens)
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
-    counts = _certified_counts(tup, p)
-    for n in range(len(counts) - 1, -1, -1):
-        if counts[n] <= p:
-            return n
-    return -1
-
-
-def p_sylvester_scan(gens: "GeneratorTuple | Iterable[int]", p: int) -> int:
-    """Independent route: count qualifying integers directly."""
-    tup = GeneratorTuple(gens)
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
-    counts = _certified_counts(tup, p)
-    return sum(1 for c in counts if c <= p)

@@ -15,7 +15,9 @@ tuple whose ``a_1 * (p + 2)`` exceeds :data:`froblab.apery.VALUE_BUDGET`
 (5,000,000); ``table`` also refuses a box of more cells than that.  A
 sequence index above :data:`froblab.sequences.MAX_INDEX` (20,000) is
 refused the same way, by ``verify`` for its grid's largest triple before
-its first walk.  Every command except ``table`` writes through :func:`_write`.
+its first walk.  ``compute`` takes its route from
+:func:`froblab.route.compute`, for ``--gens`` and ``--kind`` alike.  Every
+command except ``table`` writes through :func:`_write`.
 """
 
 from __future__ import annotations
@@ -26,21 +28,19 @@ import sys
 import time
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .apery import DegenerateTupleError, _check_budget, apery_levels, apery_set, p_frobenius
+from .apery import _check_budget, apery_levels, p_frobenius
 from .closed_forms import (
-    Computation,
     NotCoveredError,
     closed_g,
     closed_n,
-    compute_g,
-    compute_n,
     gp_fib_two_gen,
     params,
     proposition_h,
     triple,
 )
-from .denumerant import GeneratorTuple, TupleValidationError
-from .sequences import SequenceKind, seq
+from .generators import DegenerateTupleError, GeneratorTuple, TupleValidationError
+from .route import compute
+from .sequences import SequenceKind, _check_index, seq
 from .tables import Cell, build_table, export_json, render_ascii
 
 __all__ = ["main", "run", "SweepSpec", "VerifyReport", "run_sweep", "run_proposition"]
@@ -190,6 +190,16 @@ class VerifyReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
+def _check_top(kind: str, i: int, k: int, p_max: int) -> None:
+    """Refuse a grid whose largest triple ``(x_i, x_{i+2}, x_{i+k})`` is over a bound.
+
+    The index bound is checked on ``i + k`` before any term is computed, and
+    the budget charges ``x_i`` alone, so no larger term enters the cache.
+    """
+    _check_index(i + k)
+    _check_budget(seq(kind, i), p_max)
+
+
 def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None) -> VerifyReport:
     """Evaluate closed forms against the Apery oracle over a grid."""
     t0 = time.monotonic()
@@ -198,7 +208,7 @@ def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None)
         raise ValueError(f"p must be >= 0, got {spec.p_lo}")
     top = spec.largest() if levels else None  # checked before the grid is listed
     for kind in spec.kinds if top else ():
-        _check_budget(triple(kind, *top), spec.p_hi)
+        _check_top(kind, *top, spec.p_hi)
     triples = spec.triples() if top else []
     rows: list[Row] = []
     for idx, (kind, i, k) in enumerate(triples):
@@ -222,7 +232,7 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
     thresholds = {p: h for p in levels if (h := proposition_h(p)) is not None}
     if thresholds and i_values:  # the largest triple, at the top level, before any walk
         i_top = max(i_values)
-        _check_budget(triple("fib", i_top, i_top + max(thresholds.values()) + 1), max(thresholds))
+        _check_top("fib", i_top, i_top + max(thresholds.values()) + 1, max(thresholds))
     rows = []
     for p, h in thresholds.items():
         for i in i_values:
@@ -323,19 +333,10 @@ def _write(args, doc, columns, rows, text: str, indent: Optional[int] = 2) -> No
 def _cmd_compute(args) -> int:
     quantities = _QUANTITIES if args.what == "both" else (args.what,)
     if args.gens is not None:
-        tup = _parse_gens(args.gens)
-        if tup.a1 == 1:
-            raise DegenerateTupleError(f"smallest generator of {tup} is 1")
-        if args.method == "closed":
-            raise NotCoveredError("closed forms exist only for --kind triples")
-        aset = apery_set(tup, args.p)
+        tup, family = _parse_gens(args.gens), None
         header = {"gens": list(tup.gens), "p": args.p}
-        comps = [
-            Computation(aset.frobenius() if qty == "g" else aset.sylvester(), "oracle", None)
-            for qty in quantities
-        ]
     else:
-        tup = triple(args.kind, args.i, args.k)
+        tup, family = triple(args.kind, args.i, args.k), (args.kind, args.i, args.k)
         header = {
             "kind": SequenceKind.parse(args.kind).value,
             "i": args.i,
@@ -343,10 +344,7 @@ def _cmd_compute(args) -> int:
             "gens": list(tup.gens),
             "p": args.p,
         }
-        comps = [
-            (compute_g if qty == "g" else compute_n)(args.kind, args.i, args.k, args.p, method=args.method)
-            for qty in quantities
-        ]
+    comps = [compute(qty, tup, args.p, args.method, family) for qty in quantities]
 
     columns = ("quantity", "value", "method", "tag")
     rows = [(qty, c.value, c.path, str(c.tag) if c.tag else None) for qty, c in zip(quantities, comps)]

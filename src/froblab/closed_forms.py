@@ -5,7 +5,8 @@ Fibonacci family also the level-p Sylvester count, admit explicit
 formulas on certain index regions.  Coverage is deliberately partial:
 each branch applies only where it is known to hold, and anything outside
 comes back as *not covered* so the caller can fall back to the
-exhaustive Apery-set oracle.
+exhaustive Apery-set oracle, as :mod:`froblab.route` does.  Nothing here
+imports another route.
 
 Every result carries a :class:`CaseTag` naming the branch that produced
 it.  Three Sylvester branches and the pair-reduction Proposition are
@@ -23,8 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .apery import apery_set
-from .denumerant import GeneratorTuple
+from .generators import GeneratorTuple
 from .sequences import SequenceKind, fib, seq
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "CaseTag",
     "FormulaResult",
     "BranchDiscriminant",
-    "Computation",
     "params",
     "triple",
     "discriminant",
@@ -45,8 +44,6 @@ __all__ = [
     "proposition_h",
     "closed_g",
     "closed_n",
-    "compute_g",
-    "compute_n",
 ]
 
 
@@ -435,41 +432,3 @@ def closed_n(kind: "SequenceKind | str", i: int, k: int, p: int) -> FormulaResul
     if SequenceKind.parse(kind) is SequenceKind.FIBONACCI:
         return np_fib(i, k, p)
     return np_lucas(i, k, p)
-
-
-class Computation(NamedTuple):
-    """A value plus the route that produced it."""
-
-    value: int
-    path: str  # "closed" or "oracle"
-    tag: Optional[CaseTag]
-
-
-_METHODS = ("auto", "closed", "oracle")
-
-
-def _compute(kind, i, k, p, method, closed_fn, oracle_attr) -> Computation:
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if method in ("auto", "closed"):
-        res = closed_fn(kind, i, k, p)
-        if res.covered:
-            return Computation(res.value, "closed", res.tag)
-        if method == "closed":
-            raise NotCoveredError(res.tag.branch)
-    aset = apery_set(triple(kind, i, k), p)
-    return Computation(getattr(aset, oracle_attr)(), "oracle", None)
-
-
-def compute_g(
-    kind: "SequenceKind | str", i: int, k: int, p: int, method: str = "auto"
-) -> Computation:
-    """Largest value for the triple; closed form when possible under ``auto``."""
-    return _compute(kind, i, k, p, method, closed_g, "frobenius")
-
-
-def compute_n(
-    kind: "SequenceKind | str", i: int, k: int, p: int, method: str = "auto"
-) -> Computation:
-    """Count of low-representation integers for the triple."""
-    return _compute(kind, i, k, p, method, closed_n, "sylvester")

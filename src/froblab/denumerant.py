@@ -4,82 +4,27 @@ The denumerant ``d(n; a_1, ..., a_l)`` is the number of ways to write
 ``n = x_1*a_1 + ... + x_l*a_l`` with every ``x_j`` a non-negative
 integer.  Counts are exact Python ints throughout; nothing here is
 floating point or modular.
+
+The scan route (:func:`p_frobenius_scan`, :func:`p_sylvester_scan`) works
+straight off the dense count table and never looks at residues.  It shares
+no code with the residue walk of :mod:`froblab.apery`; keeping both alive is
+the point — each checks the other.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
+from .generators import GeneratorTuple
+
 __all__ = [
-    "TupleValidationError",
-    "GeneratorTuple",
     "DenumerantTable",
     "denumerant",
     "denumerant_table",
     "largest_with_exactly_p",
+    "p_frobenius_scan",
+    "p_sylvester_scan",
 ]
-
-
-class TupleValidationError(ValueError):
-    """Raised when a candidate generator tuple is unusable."""
-
-
-class GeneratorTuple(tuple):
-    """Generators ``a_1 < a_2 < ... < a_l`` with ``gcd = 1``.
-
-    Input order does not matter; the tuple is stored sorted ascending.
-    Duplicates are rejected rather than collapsed, so a typo in the input
-    cannot silently change the problem being solved.  It is itself a
-    ``tuple`` of the generators, equal to a plain tuple of the same values.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, gens: Iterable[int]) -> "GeneratorTuple":
-        items = list(gens)
-        for g in items:
-            if isinstance(g, bool) or not isinstance(g, int):
-                raise TupleValidationError(f"generators must be ints, got {g!r}")
-            if g < 1:
-                raise TupleValidationError(f"generators must be positive, got {g}")
-        if len(items) < 2:
-            raise TupleValidationError(f"need at least two generators, got {items}")
-        if len(set(items)) != len(items):
-            raise TupleValidationError(f"duplicate generators in {sorted(items)}")
-        items.sort()
-        common = 0
-        for g in items:
-            common = gcd(common, g)
-        if common != 1:
-            raise TupleValidationError(
-                f"generators {tuple(items)} share the common divisor {common}"
-            )
-        return super().__new__(cls, items)
-
-    @classmethod
-    def of(cls, *gens: int) -> "GeneratorTuple":
-        return cls(gens)
-
-    @property
-    def gens(self) -> tuple[int, ...]:
-        """The generators as a plain ``tuple``, ascending."""
-        return self[:]
-
-    @property
-    def a1(self) -> int:
-        """Smallest generator (the modulus used by residue arguments)."""
-        return self[0]
-
-    @property
-    def a2(self) -> int:
-        return self[1]
-
-    def __repr__(self) -> str:
-        return f"GeneratorTuple(gens={self[:]!r})"
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(g) for g in self) + ")"
 
 
 class DenumerantTable(NamedTuple):
@@ -137,3 +82,41 @@ def largest_with_exactly_p(
         if table.counts[n] == p:
             return n
     return None
+
+
+def _certified_counts(gens: "GeneratorTuple | Iterable[int]", p: int) -> list[int]:
+    """A count table whose tail is provably past level ``p``.
+
+    Counts never decrease along a residue class as ``n`` steps by ``a_1``
+    (add one more copy of ``a_1``), so once the top ``a_1`` entries all
+    exceed ``p`` every integer beyond the table does too.
+    """
+    tup = GeneratorTuple(gens)
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p}")
+    a1 = tup.a1
+    cap = (p + 1) * tup.gens[0] * tup.gens[1]
+    while True:
+        counts = _compute_counts(tup.gens, cap)
+        if all(c > p for c in counts[cap - a1 + 1 :]):
+            return counts
+        cap *= 2
+
+
+def p_frobenius_scan(gens: "GeneratorTuple | Iterable[int]", p: int) -> int:
+    """Independent route: scan the raw count table downward.
+
+    Returns ``-1`` when no non-negative integer has at most ``p``
+    representations (only possible when 1 is a generator).
+    """
+    counts = _certified_counts(gens, p)
+    for n in range(len(counts) - 1, -1, -1):
+        if counts[n] <= p:
+            return n
+    return -1
+
+
+def p_sylvester_scan(gens: "GeneratorTuple | Iterable[int]", p: int) -> int:
+    """Independent route: count qualifying integers directly."""
+    counts = _certified_counts(gens, p)
+    return sum(1 for c in counts if c <= p)

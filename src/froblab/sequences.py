@@ -52,13 +52,18 @@ _fib_terms = [0, 1]
 _lucas_terms = [2, 1]
 
 
-def _term(terms: list[int], n: int) -> int:
+def _check_index(n: int) -> None:
+    """Refuse an index that :func:`fib` and :func:`lucas` do not serve, computing no term."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"index must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     if n > MAX_INDEX:
         raise ValueError(f"index {n} is over the bound of {MAX_INDEX}")
+
+
+def _term(terms: list[int], n: int) -> int:
+    _check_index(n)
     if n >= len(terms):
         with _lock:
             while len(terms) <= n:

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 from .apery import VALUE_BUDGET, AperySet, apery_levels
 from .closed_forms import TripleParams, params, triple
-from .denumerant import GeneratorTuple
+from .generators import GeneratorTuple
 from .sequences import SequenceKind, fib
 
 __all__ = ["Cell", "ResidueTable", "build_table", "render_ascii", "export_json"]

@@ -21,10 +21,11 @@ from pathlib import Path
 
 import pytest
 
-from froblab.apery import _apery_elements, apery_set, p_frobenius, p_frobenius_scan, p_sylvester
+from froblab.apery import _apery_elements, apery_set, p_frobenius, p_sylvester
 from froblab.cli import SweepSpec, run_proposition, run_sweep
 from froblab.closed_forms import closed_n, gp_fib, gp_lucas, triple
-from froblab.denumerant import GeneratorTuple, largest_with_exactly_p
+from froblab.denumerant import largest_with_exactly_p, p_frobenius_scan
+from froblab.generators import GeneratorTuple
 from froblab.sequences import fib, lucas
 from froblab.tables import build_table, render_ascii
 

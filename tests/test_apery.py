@@ -3,17 +3,9 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from froblab.apery import (
-    VALUE_BUDGET,
-    DegenerateTupleError,
-    apery_levels,
-    apery_set,
-    p_frobenius,
-    p_frobenius_scan,
-    p_sylvester,
-    p_sylvester_scan,
-)
-from froblab.denumerant import GeneratorTuple, denumerant, denumerant_table
+from froblab.apery import VALUE_BUDGET, apery_levels, apery_set, p_frobenius, p_sylvester
+from froblab.denumerant import denumerant, denumerant_table, p_frobenius_scan, p_sylvester_scan
+from froblab.generators import DegenerateTupleError, GeneratorTuple
 
 F6_TRIPLE = GeneratorTuple.of(8, 21, 55)
 

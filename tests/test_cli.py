@@ -16,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from froblab import cli, sequences, tables
-from froblab.apery import _apery_elements, p_frobenius_scan, p_sylvester_scan
+from froblab.apery import _apery_elements
 from froblab.closed_forms import closed_g
-from froblab.denumerant import largest_with_exactly_p
+from froblab.denumerant import largest_with_exactly_p, p_frobenius_scan, p_sylvester_scan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,8 +147,9 @@ def test_exit_closed_form_not_covered(capsys):
     assert code == 4
     assert "not covered" in err
     # raw tuples never have a closed form
-    code, _, _ = run_cli(capsys, "compute", "--gens", "8,21,55", "--p", "0", "--method", "closed")
+    code, _, err = run_cli(capsys, "compute", "--gens", "8,21,55", "--p", "0", "--method", "closed")
     assert code == 4
+    assert err == "froblab: closed form not covered: closed forms exist only for --kind triples\n"
 
 
 @pytest.mark.parametrize(
@@ -180,14 +181,27 @@ def test_over_budget_is_a_usage_error(capsys, argv):
 
 def test_over_budget_message_names_long_numbers_by_digit_count(capsys):
     # The grid's largest triple is (fib(8000), fib(8002), fib(16005)): a_1 has
-    # 1672 digits.  Filling the term cache to index 16005 takes about 9 MB, so
-    # the 10 MB peak above is not asserted here.
+    # 1672 digits.  What the check caches is counted in a fresh process below.
     code, out, err = run_cli(capsys, "verify", "--i", "3..8000", "--p", "0")
     assert (code, out) == (2, "")
     assert err == (
         "froblab: a_1 = (1672 digits) at levels 0..0 needs a_1*(p_max+2) = (1672 digits), "
         "over the budget of 5000000\n"
     )
+
+
+def test_budget_check_caches_no_term_past_a1():
+    # The term cache is process-wide, so it is counted in a fresh interpreter:
+    # the check computes fib(8000) alone, not the triple up to fib(16005).
+    code = ("import sys; from froblab import cli, sequences; "
+            "code = cli.run(['verify', '--i', '3..8000', '--p', '0', '--quiet']); "
+            "print(len(sequences._fib_terms)); sys.exit(code)")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "over the budget" in proc.stderr
+    assert int(proc.stdout) <= 8001
 
 
 def test_verify_grid_over_index_bound_is_refused_before_any_walk(capsys, monkeypatch):

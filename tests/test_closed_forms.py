@@ -1,12 +1,10 @@
 import pytest
 
-from froblab.apery import p_frobenius, p_frobenius_scan, p_sylvester
+from froblab.apery import p_frobenius, p_sylvester
 from froblab.closed_forms import (
     CaseTag,
     FormulaResult,
     NotCoveredError,
-    compute_g,
-    compute_n,
     discriminant,
     gp_fib,
     gp_fib_two_gen,
@@ -18,7 +16,9 @@ from froblab.closed_forms import (
     triple,
 )
 from froblab.cli import SweepSpec, run_sweep
-from froblab.denumerant import denumerant
+from froblab.denumerant import denumerant, p_frobenius_scan
+from froblab.generators import DegenerateTupleError
+from froblab.route import compute, compute_g, compute_n
 from froblab.sequences import fib, lucas
 
 
@@ -302,3 +302,15 @@ def test_compute_closed_method_errors_when_uncovered():
 def test_compute_rejects_unknown_method():
     with pytest.raises(ValueError):
         compute_g("fib", 6, 4, 2, method="guess")
+
+
+def test_compute_takes_a_closed_form_only_for_a_family_triple():
+    tup = triple("fib", 6, 4)
+    assert compute("g", tup, 2, family=("fib", 6, 4)) == compute_g("fib", 6, 4, 2)
+    assert compute("g", tup, 2) == (233, "oracle", None)
+    with pytest.raises(NotCoveredError, match="only for --kind triples"):
+        compute("n", tup, 2, method="closed")
+    with pytest.raises(DegenerateTupleError):  # before the closed-form refusal
+        compute("g", (1, 3), 0, method="closed")
+    with pytest.raises(ValueError, match="quantity"):
+        compute("h", tup, 2)

@@ -1,13 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from froblab.denumerant import (
-    GeneratorTuple,
-    TupleValidationError,
-    denumerant,
-    denumerant_table,
-    largest_with_exactly_p,
-)
+from froblab.denumerant import denumerant, denumerant_table, largest_with_exactly_p
+from froblab.generators import GeneratorTuple, TupleValidationError
 
 
 # ---------------------------------------------------------------- validation

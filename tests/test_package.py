@@ -1,8 +1,10 @@
+import ast
 import importlib
+from pathlib import Path
 
 import froblab
 
-MODULES = ("apery", "closed_forms", "denumerant", "sequences", "tables")
+MODULES = ("apery", "closed_forms", "denumerant", "generators", "route", "sequences", "tables")
 
 # the names the package exported when it listed them by hand
 EARLIER_NAMES = {
@@ -37,3 +39,51 @@ def test_package_keeps_every_earlier_name():
 
 def test_package_denumerant_is_the_function():
     assert froblab.denumerant(6, (2, 3)) == 2  # 3*2 and 2*3
+
+
+# ------------------------------------------------------------ import graph
+
+ROUTES = {"apery", "closed_forms", "denumerant"}
+
+
+def _import_graph() -> dict[str, set[str]]:
+    """The froblab modules each source file imports, read with ``ast``.
+
+    Importing any submodule runs ``froblab/__init__.py``, which imports every
+    module, so ``sys.modules`` cannot show what a module itself depends on.
+    """
+    graph = {}
+    for path in Path(froblab.__file__).parent.glob("*.py"):
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps.update([node.module] if node.module else [a.name for a in node.names])
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("froblab."):
+                deps.add(node.module)
+            elif isinstance(node, ast.Import):
+                deps.update(a.name for a in node.names if a.name.startswith("froblab."))
+        graph[path.stem] = {d.removeprefix("froblab.").split(".")[0] for d in deps}
+    return graph
+
+
+def _reach(graph: dict[str, set[str]], name: str) -> set[str]:
+    seen, todo = set(), [name]
+    while todo:
+        for dep in graph[todo.pop()] - seen:
+            seen.add(dep)
+            todo.append(dep)
+    return seen
+
+
+def test_routes_import_none_of_each_other():
+    graph = _import_graph()
+    assert ROUTES | {"generators", "route", "cli", "tables"} <= set(graph)
+    for name in ROUTES:
+        assert not _reach(graph, name) & ROUTES, name
+    assert not graph["generators"] and not graph["sequences"]
+    # Besides the package, only the router and the two front ends that set the
+    # routes side by side (verify compares them; table draws the walk of a
+    # family triple) import both the closed forms and the walk.
+    both = {name for name, deps in graph.items() if {"apery", "closed_forms"} <= deps}
+    assert both == {"__init__", "route", "cli", "tables"}
+    assert "denumerant" not in _reach(graph, "cli") | _reach(graph, "tables")

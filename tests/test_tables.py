@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from froblab.closed_forms import params, triple
-from froblab.denumerant import GeneratorTuple
+from froblab.generators import GeneratorTuple
 from froblab.sequences import fib
 from froblab.tables import Cell, ResidueTable, build_table, export_json, render_ascii
 
