@@ -1,13 +1,13 @@
 """Exact Fibonacci and Lucas numbers.
 
 Both sequences satisfy s(n) = s(n-1) + s(n-2) and differ only in their
-seeds.  Everything is plain ``int`` arithmetic, so values stay exact no
-matter how large the index gets.
+seeds.  Each term is computed on demand by fast doubling, in O(log n)
+multiplications of plain ``int`` values, so terms stay exact and no state
+is kept between calls.
 """
 
 from __future__ import annotations
 
-import threading
 from enum import Enum
 
 __all__ = ["MAX_INDEX", "SequenceKind", "fib", "lucas", "seq"]
@@ -38,18 +38,11 @@ _ALIASES = {
     "l": SequenceKind.LUCAS,
 }
 
-# The largest index served.  The cache below holds every term up to the index
-# asked for, about 0.35*n^2 bits in all.  fib(20000) and lucas(20000) have 4,180
-# digits, but a closed form multiplies such terms: its value can pass Python's
-# default 4,300-digit str() limit, which the CLI lifts while it runs.
+# The largest index served.  It bounds the size of a term (fib(20000) and
+# lucas(20000) have 4,180 digits) and so the work of the closed forms, which
+# multiply such terms: their values can pass Python's default 4,300-digit
+# str() limit, which the CLI lifts while it runs.
 MAX_INDEX = 20_000
-
-# Grow-only term caches.  Appending is done under the lock, and a reader
-# only indexes positions that are already filled, so a cached lookup is
-# always identical to an uncached recomputation.
-_lock = threading.Lock()
-_fib_terms = [0, 1]
-_lucas_terms = [2, 1]
 
 
 def _check_index(n: int) -> None:
@@ -62,23 +55,26 @@ def _check_index(n: int) -> None:
         raise ValueError(f"index {n} is over the bound of {MAX_INDEX}")
 
 
-def _term(terms: list[int], n: int) -> int:
+def _fib_pair(n: int) -> tuple[int, int]:
+    """``(F_n, F_{n+1})`` by fast doubling: F_2m = F_m*(2F_{m+1} - F_m), F_2m+1 = F_m^2 + F_{m+1}^2."""
     _check_index(n)
-    if n >= len(terms):
-        with _lock:
-            while len(terms) <= n:
-                terms.append(terms[-1] + terms[-2])
-    return terms[n]
+    a, b = 0, 1  # (F_m, F_{m+1}), m the number spelt by the bits of n read so far
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a, b
 
 
 def fib(n: int) -> int:
     """n-th Fibonacci number: 0, 1, 1, 2, 3, 5, 8, ..."""
-    return _term(_fib_terms, n)
+    return _fib_pair(n)[0]
 
 
 def lucas(n: int) -> int:
     """n-th Lucas number: 2, 1, 3, 4, 7, 11, 18, ..."""
-    return _term(_lucas_terms, n)
+    f, f1 = _fib_pair(n)
+    return 2 * f1 - f
 
 
 def seq(kind: SequenceKind | str, n: int) -> int:

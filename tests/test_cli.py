@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from froblab import cli, sequences, tables
+from froblab import cli, tables
 from froblab.apery import _apery_elements
 from froblab.closed_forms import closed_g
 from froblab.denumerant import largest_with_exactly_p, p_frobenius_scan, p_sylvester_scan
@@ -161,6 +161,7 @@ def test_exit_closed_form_not_covered(capsys):
         ("verify", "--kind", "fib", "--i", "40..40", "--k", "3..3", "--p", "0..0", "--quiet"),
         # the grid's largest triple is checked before the first walk
         ("verify", "--i", "3..40", "--k", "3..3", "--p", "0", "--quiet"),
+        ("verify", "--i", "3..8000", "--p", "0"),
         ("verify", "--proposition", "--i", "3..40", "--p", "3..3", "--quiet"),
         ("exact", "--gens", "1000000007,1000000009", "--p", "0"),
     ],
@@ -181,27 +182,13 @@ def test_over_budget_is_a_usage_error(capsys, argv):
 
 def test_over_budget_message_names_long_numbers_by_digit_count(capsys):
     # The grid's largest triple is (fib(8000), fib(8002), fib(16005)): a_1 has
-    # 1672 digits.  What the check caches is counted in a fresh process below.
+    # 1672 digits.
     code, out, err = run_cli(capsys, "verify", "--i", "3..8000", "--p", "0")
     assert (code, out) == (2, "")
     assert err == (
         "froblab: a_1 = (1672 digits) at levels 0..0 needs a_1*(p_max+2) = (1672 digits), "
         "over the budget of 5000000\n"
     )
-
-
-def test_budget_check_caches_no_term_past_a1():
-    # The term cache is process-wide, so it is counted in a fresh interpreter:
-    # the check computes fib(8000) alone, not the triple up to fib(16005).
-    code = ("import sys; from froblab import cli, sequences; "
-            "code = cli.run(['verify', '--i', '3..8000', '--p', '0', '--quiet']); "
-            "print(len(sequences._fib_terms)); sys.exit(code)")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr.count("\n") == 1 and "over the budget" in proc.stderr
-    assert int(proc.stdout) <= 8001
 
 
 def test_verify_grid_over_index_bound_is_refused_before_any_walk(capsys, monkeypatch):
@@ -351,6 +338,23 @@ def test_verify_proposition(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["summary"]["rows"] == 24  # (p,h) in {3,4,5,6} x i in {3,4,5} x two k's
+
+
+def test_verify_proposition_walks_each_triple_once(capsys, monkeypatch):
+    walks = []
+    real = cli.apery_levels
+
+    def counted(gens, p_max):
+        walks.append((tuple(gens), p_max))
+        return real(gens, p_max)
+
+    monkeypatch.setattr(cli, "apery_levels", counted)
+    code, out, _ = run_cli(capsys, "verify", "--proposition", "--p", "0..6", "--i", "3..5",
+                           "--format", "json", "--quiet")
+    assert code == 0
+    assert json.loads(out)["summary"]["rows"] == 24
+    # 9 distinct triples: i in {3, 4, 5} and k - i in {4, 5, 6}, as h is 4 or 5
+    assert len(walks) == len({gens for gens, _ in walks}) == 9
 
 
 @pytest.mark.parametrize(
@@ -611,12 +615,10 @@ def test_cli_paths_build_no_count_table(capsys, monkeypatch):
         ("compute", "--kind", "fib", "--i", "1000000", "--k", "4"),
     ],
 )
-def test_index_over_bound_is_refused_before_caching(capsys, argv):
-    cached = len(sequences._fib_terms)
+def test_index_over_bound_is_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "over the bound of 20000" in err
-    assert len(sequences._fib_terms) == cached
 
 
 @pytest.mark.parametrize("kind", ["fib", "lucas"])

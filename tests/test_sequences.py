@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from froblab.sequences import SequenceKind, fib, lucas, seq
+from froblab.sequences import MAX_INDEX, SequenceKind, fib, lucas, seq
 
 
 def test_fib_seed_values():
@@ -28,6 +28,20 @@ def test_recurrence_up_to_200():
     for n in range(2, 201):
         assert fib(n) == fib(n - 1) + fib(n - 2)
         assert lucas(n) == lucas(n - 1) + lucas(n - 2)
+
+
+@pytest.mark.parametrize("term, seeds", [(fib, (0, 1)), (lucas, (2, 1))])
+def test_terms_match_the_plain_recurrence(term, seeds):
+    a, b = seeds
+    for n in range(MAX_INDEX + 1):
+        if n <= 2000 or n == MAX_INDEX:
+            assert term(n) == a, n
+        a, b = b, a + b
+
+
+def test_lucas_is_the_sum_of_the_fibonacci_neighbours():
+    for n in range(1, 2001):
+        assert lucas(n) == fib(n - 1) + fib(n + 1)
 
 
 def test_triple_identity():
@@ -70,9 +84,22 @@ def test_negative_index_rejected():
         lucas(-3)
 
 
+@pytest.mark.parametrize("term", [fib, lucas])
+@pytest.mark.parametrize("n, error, message", [
+    (True, TypeError, "index must be an int, got True"),
+    (2.0, TypeError, "index must be an int, got 2.0"),
+    (-3, ValueError, "index must be >= 0, got -3"),
+    (MAX_INDEX + 1, ValueError, "index 20001 is over the bound of 20000"),
+])
+def test_refused_index_keeps_its_message(term, n, error, message):
+    with pytest.raises(error) as info:
+        term(n)
+    assert str(info.value) == message
+
+
 @given(st.integers(min_value=2, max_value=500))
 def test_fib_lucas_product_identity(n):
-    # L_n * F_n = F_2n, a classical cross-check that both caches stay sane.
+    # L_n * F_n = F_2n, a classical cross-check of one sequence against the other.
     assert lucas(n) * fib(n) == fib(2 * n)
 
 
