@@ -203,6 +203,8 @@ def _check_top(kind: str, i: int, k: int, p_max: int) -> None:
 def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None) -> VerifyReport:
     """Evaluate closed forms against the Apery oracle over a grid."""
     t0 = time.monotonic()
+    if not set(spec.quantities) <= set(_QUANTITIES):
+        raise ValueError(f"quantities must be from {_QUANTITIES}, got {spec.quantities!r}")
     levels = range(spec.p_lo, spec.p_hi + 1)
     if levels and spec.p_lo < 0:
         raise ValueError(f"p must be >= 0, got {spec.p_lo}")
@@ -256,18 +258,19 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
 
 def _parse_gens(text: str) -> GeneratorTuple:
     try:
-        nums = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+        nums = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise TupleValidationError(f"could not parse generators from {text!r}") from None
     return GeneratorTuple(nums)
 
 
-def _parse_int_span(text: str) -> tuple[int, int]:
+def _parse_int_span(flag: str, text: str) -> tuple[int, int]:
+    """``N`` or ``N..M``; ``flag`` names the option in the error."""
     lo, sep, hi = text.partition("..")
-    if not sep:
-        v = int(text)
-        return v, v
-    return int(lo), int(hi)
+    try:
+        return (int(lo), int(hi)) if sep else (int(text),) * 2
+    except ValueError:
+        raise ValueError(f"bad {flag} range {text!r}: expected N or N..M") from None
 
 
 def _parse_k_bound(tok: str) -> tuple[Optional[str], int]:
@@ -365,8 +368,8 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.proposition:
-        p_lo, p_hi = _parse_int_span(args.p) if args.p else (0, 6)
-        i_lo, i_hi = _parse_int_span(args.i) if args.i else (3, 5)
+        p_lo, p_hi = _parse_int_span("--p", args.p) if args.p else (0, 6)
+        i_lo, i_hi = _parse_int_span("--i", args.i) if args.i else (3, 5)
         report = run_proposition(p_lo, p_hi, range(i_lo, i_hi + 1))
     else:
         kinds = ("fib", "lucas") if args.kind == "both" else (SequenceKind.parse(args.kind).value,)
@@ -374,11 +377,11 @@ def _cmd_verify(args) -> int:
         # a range left out keeps SweepSpec's default
         grid = {"kinds": kinds, "quantities": quantities}
         if args.i:
-            grid["i_lo"], grid["i_hi"] = _parse_int_span(args.i)
+            grid["i_lo"], grid["i_hi"] = _parse_int_span("--i", args.i)
         if args.k:
             grid["k_lo"], grid["k_hi"] = _parse_k_span(args.k)
         if args.p:
-            grid["p_lo"], grid["p_hi"] = _parse_int_span(args.p)
+            grid["p_lo"], grid["p_hi"] = _parse_int_span("--p", args.p)
         report = run_sweep(SweepSpec(**grid), progress=lambda m: _note(args, m))
 
     mismatches = [r._asdict() for r in report.mismatches]

@@ -5,10 +5,10 @@ The denumerant ``d(n; a_1, ..., a_l)`` is the number of ways to write
 integer.  Counts are exact Python ints throughout; nothing here is
 floating point or modular.
 
-The scan route (:func:`p_frobenius_scan`, :func:`p_sylvester_scan`) works
-straight off the dense count table and never looks at residues.  It shares
-no code with the residue walk of :mod:`froblab.apery`; keeping both alive is
-the point — each checks the other.
+The scan route (:func:`p_frobenius_scan`, :func:`p_sylvester_scan`,
+:func:`largest_with_exactly_p`) works straight off the dense count table and
+never looks at residues.  It shares no code with the residue walk of
+:mod:`froblab.apery`; keeping both alive is the point — each checks the other.
 """
 
 from __future__ import annotations
@@ -66,24 +66,6 @@ def denumerant(n: int, gens: "GeneratorTuple | Iterable[int]") -> int:
     return denumerant_table(n, gens).counts[n]
 
 
-def largest_with_exactly_p(
-    gens: "GeneratorTuple | Iterable[int]", p: int, search_cap: int
-) -> Optional[int]:
-    """Largest ``n <= search_cap`` with exactly ``p`` representations.
-
-    Returns ``None`` when no integer in ``0..search_cap`` has count ``p``.
-    The caller owns the choice of ``search_cap``; no attempt is made to
-    certify that nothing above it qualifies.
-    """
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
-    table = denumerant_table(search_cap, gens)
-    for n in range(search_cap, -1, -1):
-        if table.counts[n] == p:
-            return n
-    return None
-
-
 def _certified_counts(gens: "GeneratorTuple | Iterable[int]", p: int) -> list[int]:
     """A count table whose tail is provably past level ``p``.
 
@@ -120,3 +102,13 @@ def p_sylvester_scan(gens: "GeneratorTuple | Iterable[int]", p: int) -> int:
     """Independent route: count qualifying integers directly."""
     counts = _certified_counts(gens, p)
     return sum(1 for c in counts if c <= p)
+
+
+def largest_with_exactly_p(gens: "GeneratorTuple | Iterable[int]", p: int) -> Optional[int]:
+    """Largest ``n`` with exactly ``p`` representations, or ``None`` if none has.
+
+    Every integer past the certified table has more than ``p``, so the
+    answer, if any, lies inside it.
+    """
+    counts = _certified_counts(gens, p)
+    return next((n for n in range(len(counts) - 1, -1, -1) if counts[n] == p), None)

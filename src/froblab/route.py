@@ -43,7 +43,8 @@ def compute(
 
     ``family`` is the ``(kind, i, k)`` whose :func:`~froblab.closed_forms.triple`
     is ``gens``, or ``None`` for a tuple given by its generators, which no
-    closed form covers.  Raises :class:`NotCoveredError` under
+    closed form covers; a ``family`` whose triple is not ``gens`` raises
+    :class:`ValueError`.  Raises :class:`NotCoveredError` under
     ``method="closed"`` where no branch covers the point, and
     :class:`DegenerateTupleError` under every method when the smallest
     generator is 1.
@@ -53,6 +54,8 @@ def compute(
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     tup = GeneratorTuple(gens)
+    if family is not None and (named := triple(*family)) != tup:
+        raise ValueError(f"family {tuple(family)} names {named}, not {tup}")
     # Before the closed-form refusal, so that a degenerate tuple says so.
     if tup.a1 == 1:
         raise DegenerateTupleError(f"smallest generator of {tup} is 1")

@@ -24,7 +24,7 @@ import pytest
 from froblab.apery import _apery_elements, apery_set, p_frobenius, p_sylvester
 from froblab.cli import SweepSpec, run_proposition, run_sweep
 from froblab.closed_forms import closed_n, gp_fib, gp_lucas, triple
-from froblab.denumerant import largest_with_exactly_p, p_frobenius_scan
+from froblab.denumerant import largest_with_exactly_p
 from froblab.generators import GeneratorTuple
 from froblab.sequences import fib, lucas
 from froblab.tables import build_table, render_ascii
@@ -126,10 +126,8 @@ def test_criterion_04_pinned_exceptional_constants():
 def test_criterion_05_exact_count_anecdote():
     gens = GeneratorTuple.of(2, 5, 7)
     for p, want in ((17, 43), (18, 42), (22, None)):
-        # above g_p + a1 every integer has more than p representations,
-        # so this cap certifies absence as well as presence
-        cap = p_frobenius_scan(gens, p) + gens.a1
-        assert largest_with_exactly_p(gens, p, cap) == want
+        # the scan's own table certifies absence as well as presence
+        assert largest_with_exactly_p(gens, p) == want
     print("criterion 5: PASS — exactly-17 -> 43, exactly-18 -> 42, exactly-22 -> absent")
 
 

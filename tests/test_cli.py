@@ -121,6 +121,28 @@ def test_exit_usage_on_bad_arguments(capsys):
     assert run_cli(capsys, "exact", "--gens", "2,5,7", "--p", "-1")[0] == 2
 
 
+# each used to answer for another tuple: (55, 821), (8, 55), (7, 25), (8, 21, 55)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--gens", "8 21,55"),
+        ("compute", "--gens", "8,,55"),
+        ("exact", "--gens", "2 5,7", "--p", "0"),
+        ("compute", "--gens", "8,21,55,"),
+    ],
+)
+def test_gens_token_is_one_integer(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "could not parse generators" in err
+
+
+def test_gens_tokens_may_have_blanks_around_them(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--gens", " 6, 10 ,15 ", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["gens"] == [6, 10, 15]
+
+
 @pytest.mark.parametrize("extra", [("--i", "99"), ("--k", "1"), ("--i", "99", "--k", "1")])
 def test_compute_gens_rejects_family_flags(capsys, extra):
     code, out, err = run_cli(capsys, "compute", "--gens", "8,21,55", *extra)
@@ -278,6 +300,25 @@ def test_verify_rejects_malformed_k_bound(capsys, k):
     )
     assert (code, out) == (2, "")
     assert "bad k bound" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("--i", "a..b"), ("--i", "3.."), ("--p", "1..x"), ("--proposition", "--p", "x")]
+)
+def test_verify_range_error_names_its_flag(capsys, argv):
+    flag, text = argv[-2:]
+    code, out, err = run_cli(capsys, "verify", *argv, "--quiet")
+    assert (code, out) == (2, "")
+    assert f"bad {flag} range {text!r}: expected N or N..M" in err
+
+
+def test_sweep_refuses_unknown_quantity_before_listing(monkeypatch):
+    def listed(self):
+        raise AssertionError("grid listed")
+
+    monkeypatch.setattr(cli.SweepSpec, "triples", listed)
+    with pytest.raises(ValueError, match=r"\('g', 'n'\)"):
+        cli.run_sweep(cli.SweepSpec(quantities=("x",)))
 
 
 def test_k_bounds_that_parse():
@@ -570,9 +611,8 @@ def test_exact_matches_count_table(gens, p):
     with contextlib.redirect_stdout(out):
         code = cli.run(["exact", "--gens", ",".join(map(str, gens)), "--p", str(p), "--format", "json"])
     assert code == 0
-    # nothing above g_p has as few as p representations; the cap comes from
-    # the count-table scan, so the reference shares nothing with the walk
-    want = largest_with_exactly_p(gens, p, p_frobenius_scan(gens, p) + gens[0])
+    # the reference scans a count table, so it shares nothing with the walk
+    want = largest_with_exactly_p(gens, p)
     assert json.loads(out.getvalue())["value"] == want, (gens, p)
 
 

@@ -314,3 +314,6 @@ def test_compute_takes_a_closed_form_only_for_a_family_triple():
         compute("g", (1, 3), 0, method="closed")
     with pytest.raises(ValueError, match="quantity"):
         compute("h", tup, 2)
+    # the closed form of (8, 21, 55) would answer 233; the walk of (3, 5, 7) gives 16
+    with pytest.raises(ValueError, match=r"\(8, 21, 55\), not \(3, 5, 7\)"):
+        compute("g", (3, 5, 7), 2, "auto", ("fib", 6, 4))

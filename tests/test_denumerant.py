@@ -106,24 +106,20 @@ def test_superadditive_under_generator_inclusion(gens, n):
 # -------------------------------------------------------- exact-count search
 
 def test_largest_with_exactly_p_anecdote():
-    from froblab.apery import p_frobenius
-
     gens = GeneratorTuple.of(2, 5, 7)
-    # caps derived the documented way: nothing above g_p + a_1 can qualify
     for p, expected in ((17, 43), (18, 42), (22, None)):
-        cap = p_frobenius(gens, p) + gens.a1
-        assert largest_with_exactly_p(gens, p, cap) == expected
+        assert largest_with_exactly_p(gens, p) == expected
 
 
 def test_largest_with_exactly_p_two_generators():
     # For (2,3) the level-1 ceiling is 7: d(7)=1 and every n >= 8 has d >= 2.
-    assert largest_with_exactly_p((2, 3), 1, 50) == 7
+    assert largest_with_exactly_p((2, 3), 1) == 7
 
 
 def test_largest_with_exactly_zero():
-    assert largest_with_exactly_p((2, 3), 0, 50) == 1
+    assert largest_with_exactly_p((2, 3), 0) == 1
 
 
 def test_largest_rejects_negative_p():
     with pytest.raises(ValueError):
-        largest_with_exactly_p((2, 3), -1, 10)
+        largest_with_exactly_p((2, 3), -1)
