@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import re
 import sys
 import time
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -243,10 +244,10 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
     rows = []
     for (i, k), ps in checked_at.items():  # one walk per triple, to its highest level
         asets = apery_levels(triple("fib", i, k), ps[-1])
+        pr = params("fib", i, k)  # r and ell do not depend on p
         for p in ps:
             expected = gp_fib_two_gen(i, p)
             oracle = asets[p].frobenius()
-            pr = params("fib", i, k, p)
             tag = f"Prop/k>=i+{thresholds[p]}"
             rows.append(Row("fib", i, k, p, pr.r, pr.ell, "g", expected, oracle, tag, expected == oracle, True))
     rows.sort(key=lambda r: (r.p, r.i, r.k))
@@ -256,11 +257,26 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
 # ----------------------------------------------------------------------
 # argument plumbing
 
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def integer(text: str) -> int:
+    """An integer in ASCII digits, with an optional sign and blanks around it.
+
+    Every integer a flag carries is read here; ``int()`` alone also takes
+    ``1_0`` and non-ASCII digits such as ``٣``.  argparse names this
+    function in its error, so it has no leading underscore.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_gens(text: str) -> GeneratorTuple:
     try:
-        nums = [int(tok) for tok in text.split(",")]
+        nums = [integer(tok) for tok in text.split(",")]
     except ValueError:
-        raise TupleValidationError(f"could not parse generators from {text!r}") from None
+        raise TupleValidationError(f"could not parse generators from --gens {text!r}") from None
     return GeneratorTuple(nums)
 
 
@@ -268,7 +284,7 @@ def _parse_int_span(flag: str, text: str) -> tuple[int, int]:
     """``N`` or ``N..M``; ``flag`` names the option in the error."""
     lo, sep, hi = text.partition("..")
     try:
-        return (int(lo), int(hi)) if sep else (int(text),) * 2
+        return (integer(lo), integer(hi)) if sep else (integer(text),) * 2
     except ValueError:
         raise ValueError(f"bad {flag} range {text!r}: expected N or N..M") from None
 
@@ -276,13 +292,16 @@ def _parse_int_span(flag: str, text: str) -> tuple[int, int]:
 def _parse_k_bound(tok: str) -> tuple[Optional[str], int]:
     """``N``, ``i``, ``i+N`` or ``i-N``; whitespace is ignored."""
     text = "".join(tok.split())
-    if text.isdecimal():
-        return (None, int(text))
     if text == "i":
         return ("i", 0)
-    if text[:2] in ("i+", "i-") and text[2:].isdecimal():
-        return ("i", int(text[1:]))
-    raise ValueError(f"bad k bound {tok!r}: expected N, i, i+N or i-N")
+    try:
+        if text[:2] in ("i+", "i-"):
+            return ("i", integer(text[1:]))
+        if text[:1] not in ("+", "-"):
+            return (None, integer(text))
+    except ValueError:
+        pass
+    raise ValueError(f"bad k bound {tok!r}: --k takes N, i, i+N or i-N")
 
 
 def _parse_k_span(text: str) -> tuple[tuple[Optional[str], int], tuple[Optional[str], int]]:
@@ -442,9 +461,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", parents=[common], help="one tuple, one level")
     p_compute.add_argument("--gens", help='explicit generators, e.g. "8,21,55"')
     p_compute.add_argument("--kind", choices=("fib", "lucas"))
-    p_compute.add_argument("--i", type=int)
-    p_compute.add_argument("--k", type=int)
-    p_compute.add_argument("--p", type=int, default=0)
+    p_compute.add_argument("--i", type=integer)
+    p_compute.add_argument("--k", type=integer)
+    p_compute.add_argument("--p", type=integer, default=0)
     p_compute.add_argument("--what", choices=("g", "n", "both"), default="both")
     p_compute.add_argument("--method", choices=("auto", "closed", "oracle"), default="auto")
     p_compute.set_defaults(func=_cmd_compute)
@@ -464,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--jobs",
-        type=int,
+        type=integer,
         default=1,
         help="accepted for compatibility and checked to be >= 1; sweeps run in one process",
     )
@@ -472,20 +491,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", parents=[common], help="render a residue table")
     p_table.add_argument("--kind", choices=("fib", "lucas"), required=True)
-    p_table.add_argument("--i", type=int, required=True)
-    p_table.add_argument("--k", type=int, required=True)
-    p_table.add_argument("--pmax", type=int, default=0)
+    p_table.add_argument("--i", type=integer, required=True)
+    p_table.add_argument("--k", type=integer, required=True)
+    p_table.add_argument("--pmax", type=integer, default=0)
     p_table.add_argument("--mode", choices=("value", "residue", "level"), default="value")
     p_table.set_defaults(func=_cmd_table)
 
     p_exact = sub.add_parser("exact", parents=[common], help="largest n with exactly p representations")
     p_exact.add_argument("--gens", required=True)
-    p_exact.add_argument("--p", type=int, required=True)
+    p_exact.add_argument("--p", type=integer, required=True)
     p_exact.set_defaults(func=_cmd_exact)
 
     p_seq = sub.add_parser("seq", parents=[common], help="print one sequence term")
     p_seq.add_argument("--kind", choices=("fib", "lucas"), required=True)
-    p_seq.add_argument("--n", type=int, required=True)
+    p_seq.add_argument("--n", type=integer, required=True)
     p_seq.set_defaults(func=_cmd_seq)
 
     return parser

@@ -108,34 +108,23 @@ class CaseTag(NamedTuple):
 _TAG_NONE = "none"
 
 
-class _FormulaFields(NamedTuple):
-    covered: bool
+class FormulaResult(NamedTuple):
+    """A closed-form value, or ``None`` where no branch covers the point."""
+
     value: Optional[int]
     tag: CaseTag
 
-
-class FormulaResult(_FormulaFields):
-    """A closed-form value, or ``None`` with ``covered`` false."""
-
-    __slots__ = ()
-
-    def __new__(cls, covered: bool, value: Optional[int], tag: CaseTag) -> "FormulaResult":
-        if covered != (value is not None):
-            raise AssertionError("covered flag must mirror presence of a value")
-        return super().__new__(cls, covered, value, tag)
-
-    @classmethod
-    def _make(cls, iterable) -> "FormulaResult":
-        # _replace builds through _make; keep the check on that path too.
-        return cls(*iterable)
+    @property
+    def covered(self) -> bool:
+        return self.value is not None
 
 
 def _hit(theorem: str, branch: str, value: int, verbatim: bool = False) -> FormulaResult:
-    return FormulaResult(True, value, CaseTag(theorem, branch, verbatim))
+    return FormulaResult(value, CaseTag(theorem, branch, verbatim))
 
 
 def _miss(reason: str) -> FormulaResult:
-    return FormulaResult(False, None, CaseTag(_TAG_NONE, reason))
+    return FormulaResult(None, CaseTag(_TAG_NONE, reason))
 
 
 class BranchDiscriminant(NamedTuple):
@@ -177,6 +166,8 @@ def _gp_general(pr: TripleParams, theorem: str) -> FormulaResult:
     Which of the two cases fired is recoverable from :func:`discriminant`;
     the tag names only the branch family.
     """
+    if pr.r < pr.p:
+        raise AssertionError(f"{theorem}/general needs r >= p, got r={pr.r} p={pr.p}")
     fk = fib(pr.k)
     if discriminant(pr).first:
         v = (pr.x_i - pr.r * fk - 1) * pr.x_i2 + (pr.r + pr.p) * pr.x_ik - pr.x_i
@@ -187,6 +178,8 @@ def _gp_general(pr: TripleParams, theorem: str) -> FormulaResult:
 
 def _np_general(pr: TripleParams, theorem: str) -> FormulaResult:
     """The uniform averaged-count formula (needs ``r >= p``)."""
+    if pr.r < pr.p:
+        raise AssertionError(f"{theorem}/general needs r >= p, got r={pr.r} p={pr.p}")
     fk, fk2 = fib(pr.k), fib(pr.k - 2)
     base = _half((pr.x_i + 2 * pr.p * fk - 1) * pr.x_i2 - pr.x_i + 1)
     corr = _half((2 * pr.r * pr.x_i - (pr.r + pr.p + 1) * (pr.r - pr.p) * fk) * fk2)
@@ -230,9 +223,7 @@ def gp_fib(i: int, k: int, p: int) -> FormulaResult:
             return _hit("Thm2", "k=i+1", (fib(i - 2) - 1) * Fi2 + Fik - Fi)
         if k == i:
             return _hit("Thm2", "k=i", (Fi - 1) * Fi2 + Fik - Fi)
-        if pr.r >= 1:  # always true for k <= i-1
-            return _gp_general(pr, "Thm2")
-        return _miss(f"fib g: p=1 uncovered at i={i} k={k}")
+        return _gp_general(pr, "Thm2")  # k <= i-1 forces F_i - 1 >= F_k
 
     if p == 2:
         if k >= i + 3:
@@ -249,9 +240,7 @@ def gp_fib(i: int, k: int, p: int) -> FormulaResult:
             if i >= 5:
                 return _hit("Thm3", "k=i-1", (fib(i - 4) - 1) * Fi2 + 3 * Fik - Fi)
             return _hit("Thm3", "k=i-1 i=4", Fi2 + 2 * Fik - Fi)
-        if pr.r >= 2:  # always true for k <= i-2
-            return _gp_general(pr, "Thm3")
-        return _miss(f"fib g: p=2 uncovered at i={i} k={k}")
+        return _gp_general(pr, "Thm3")  # k <= i-2 forces F_i - 1 >= 2*F_k
 
     if p == 3:
         if k >= i + 3:
@@ -275,9 +264,7 @@ def gp_fib(i: int, k: int, p: int) -> FormulaResult:
             if i >= 6:
                 return _hit("Thm4", "k=i-2", (fib(i - 5) - 1) * Fi2 + 5 * Fik - Fi)
             return _hit("Thm4", "k=i-2 i=5", Fi2 + 4 * Fik - Fi)
-        if pr.r >= 3:  # always true for k <= i-3
-            return _gp_general(pr, "Thm4")
-        return _miss(f"fib g: p=3 uncovered at i={i} k={k}")
+        return _gp_general(pr, "Thm4")  # k <= i-3 forces F_i - 1 >= 3*F_k
 
     # p == 0 and p >= 4 share the uniform statement: it needs r >= p and
     # excludes the (r, p) = (0, 0) corner.
@@ -310,9 +297,7 @@ def gp_lucas(i: int, k: int, p: int) -> FormulaResult:
             return _hit("Thm6", "k=i+3", (fib(i + 3) - 1) * Li2 - Li)
         if k == i + 2:
             return _hit("Thm6", "k=i+2", (3 * fib(i - 1) - 1) * Li2 + Lik - Li)
-        if pr.r >= 1:  # always true for k <= i+1
-            return _gp_general(pr, "Thm6")
-        return _miss(f"lucas g: p=1 uncovered at i={i} k={k}")
+        return _gp_general(pr, "Thm6")  # k <= i+1 forces L_i - 1 >= F_k
 
     if p == 2:
         if k >= i + 4:
@@ -327,9 +312,8 @@ def gp_lucas(i: int, k: int, p: int) -> FormulaResult:
             return _hit("Thm7", "k=i+1", (2 * fib(i - 1) - 1) * Li2 + 2 * Lik - Li)
         if k == i and i == 3:
             return _hit("Thm7", "k=i i=3", Li2 + 3 * Lik - Li)
-        if pr.r >= 2:  # true for k <= i except the (i, k) = (3, 3) corner
-            return _gp_general(pr, "Thm7")
-        return _miss(f"lucas g: p=2 uncovered at i={i} k={k}")
+        # k <= i, and (3, 3) is returned above, so L_i - 1 >= 2*F_k
+        return _gp_general(pr, "Thm7")
 
     if p == 3:
         if k >= i + 5:
@@ -348,9 +332,7 @@ def gp_lucas(i: int, k: int, p: int) -> FormulaResult:
             if i >= 4:
                 return _hit("Thm8", "k=i", (2 * fib(i - 3) - 1) * Li2 + 4 * Lik - Li)
             return _hit("Thm8", "k=i i=3", 3 * Li2 + 2 * Lik - Li)
-        if pr.r >= 3:  # always true for k <= i-1
-            return _gp_general(pr, "Thm8")
-        return _miss(f"lucas g: p=3 uncovered at i={i} k={k}")
+        return _gp_general(pr, "Thm8")  # k <= i-1 forces L_i - 1 >= 3*F_k
 
     if pr.r >= p and (pr.r, p) != (0, 0):
         return _gp_general(pr, "Thm9")
@@ -368,9 +350,7 @@ def np_fib(i: int, k: int, p: int) -> FormulaResult:
         if k in (i, i + 1):
             v = _half(3 * Fi * Fi2 - Fi - Fi2 + 1) - (2 * Fi - fib(k)) * fib(k - 2)
             return _hit("N1", "k=i or k=i+1", v)
-        if pr.r >= 1:
-            return _np_general(pr, "N1")
-        return _miss(f"fib n: p=1 uncovered at i={i} k={k}")
+        return _np_general(pr, "N1")  # k <= i-1 forces F_i - 1 >= F_k
 
     if p == 2:
         if k >= i + 3:
@@ -384,9 +364,7 @@ def np_fib(i: int, k: int, p: int) -> FormulaResult:
         if k == i - 1:
             v = _half((170 * Fi - 1) * Fi + (24 * Fi2 - 125 * Fi - 1) * Fi2 + 1)
             return _hit("N2", "k=i-1", v, verbatim=True)
-        if pr.r >= 2:
-            return _np_general(pr, "N2")
-        return _miss(f"fib n: p=2 uncovered at i={i} k={k}")
+        return _np_general(pr, "N2")  # k <= i-2 forces F_i - 1 >= 2*F_k
 
     if p == 3:
         if k >= i + 3:
@@ -405,9 +383,7 @@ def np_fib(i: int, k: int, p: int) -> FormulaResult:
         if k == i - 2:
             v = _half((3 * Fi - 1) * Fi2 - Fi + 1) - (8 * Fi - 15 * fib(i - 2)) * fib(i - 4)
             return _hit("N3", "k=i-2", v)
-        if pr.r >= 3:
-            return _np_general(pr, "N3")
-        return _miss(f"fib n: p=3 uncovered at i={i} k={k}")
+        return _np_general(pr, "N3")  # k <= i-3 forces F_i - 1 >= 3*F_k
 
     # p == 0 and p >= 4: the uniform statement covers every r >= p (no
     # corner exclusion here, unlike the largest-value formula).

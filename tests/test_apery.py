@@ -37,6 +37,11 @@ def test_negative_level_rejected():
         p_frobenius_scan((2, 3), -2)
 
 
+def test_apery_levels_rejects_negative_level():
+    with pytest.raises(ValueError, match="p_max must be >= 0"):
+        apery_levels((2, 3), -1)
+
+
 def test_worked_example_apery_levels():
     expected = {
         0: {0, 21, 42, 55, 76, 97, 110, 131},

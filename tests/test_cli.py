@@ -137,6 +137,26 @@ def test_gens_token_is_one_integer(capsys, argv):
     assert "could not parse generators" in err
 
 
+# int() alone takes PEP 515 underscores and non-ASCII digits; each of these
+# used to run with exit 0
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("compute", "--gens", "8_21,55"), "--gens"),
+        (("compute", "--gens", "٣,٥"), "--gens"),
+        (("verify", "--i", "1_2..1_2", "--k", "3..3", "--p", "0..0"), "--i"),
+        (("verify", "--i", "3..3", "--k", "٣..٥", "--p", "0"), "--k"),
+        (("seq", "--kind", "fib", "--n", "1_0"), "--n"),
+        (("compute", "--kind", "fib", "--i", "٦", "--k", "4", "--what", "g"), "--i"),
+        (("table", "--kind", "fib", "--i", "6", "--k", "4", "--pmax", "٢"), "--pmax"),
+    ],
+)
+def test_integer_flags_take_ascii_digits_only(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv, "--quiet")
+    assert (code, out) == (2, "")
+    assert flag in err
+
+
 def test_gens_tokens_may_have_blanks_around_them(capsys):
     code, out, _ = run_cli(capsys, "compute", "--gens", " 6, 10 ,15 ", "--format", "json")
     assert code == 0

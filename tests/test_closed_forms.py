@@ -2,9 +2,9 @@ import pytest
 
 from froblab.apery import p_frobenius, p_sylvester
 from froblab.closed_forms import (
-    CaseTag,
-    FormulaResult,
     NotCoveredError,
+    _gp_general,
+    _np_general,
     discriminant,
     gp_fib,
     gp_fib_two_gen,
@@ -49,11 +49,24 @@ def test_params_domain_errors(i, k):
         params("fib", i, k)
 
 
-def test_formula_result_flag_must_mirror_value():
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (params, ("fib", 5, 4, -1), "p must be >= 0"),
+        (gp_fib_two_gen, (2, 0), "i must be >= 3"),
+        (gp_fib_two_gen, (3, -1), "p must be >= 0"),
+    ],
+)
+def test_level_and_index_domain_errors(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
+@pytest.mark.parametrize("general", [_gp_general, _np_general])
+def test_general_formulas_refuse_r_below_p(general):
+    pr = params("fib", 6, 4, 2)._replace(p=3)  # r = 2
     with pytest.raises(AssertionError):
-        FormulaResult(True, None, CaseTag("Thm2", "k=i"))
-    with pytest.raises(AssertionError):
-        FormulaResult(False, 5, CaseTag("none", "x"))
+        general(pr, "T")
 
 
 # ------------------------------------------------------------ two-gen + Prop
@@ -221,13 +234,13 @@ def test_oracle_equivalence_fib_n_reports_verbatim_branches():
 
 
 def test_branch_totality_for_low_levels():
-    for i in range(3, 13):
+    for i in range(3, 41):
         for k in range(3, i + 6):
             for p in (1, 2, 3):
                 assert gp_fib(i, k, p).covered
                 assert np_fib(i, k, p).covered
             assert gp_fib(i, k, 0).covered == (params("fib", i, k).r >= 1)
-    for i in range(3, 11):
+    for i in range(3, 41):
         for k in range(3, i + 6):
             for p in (0, 1, 2, 3):
                 assert gp_lucas(i, k, p).covered

@@ -52,6 +52,17 @@ def test_table_matches_pointwise():
     ]
 
 
+def test_denumerant_rejects_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        denumerant(-1, (2, 5, 7))
+
+
+@pytest.mark.parametrize("n", [-1, 11])
+def test_table_count_refuses_n_outside_its_range(n):
+    with pytest.raises(IndexError, match=r"outside table range 0\.\.10"):
+        denumerant_table(10, (2, 5, 7)).count(n)
+
+
 def test_table_limit_zero():
     assert denumerant_table(0, (3, 5)).counts == [1]
 

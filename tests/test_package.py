@@ -1,5 +1,8 @@
 import ast
 import importlib
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import froblab
@@ -39,6 +42,34 @@ def test_package_keeps_every_earlier_name():
 
 def test_package_denumerant_is_the_function():
     assert froblab.denumerant(6, (2, 3)) == 2  # 3*2 and 2*3
+
+
+def _literal(comment: str):
+    try:
+        return True, ast.literal_eval(comment)
+    except (ValueError, SyntaxError):
+        return False, None
+
+
+def test_readme_library_snippet_prints_what_its_comments_say():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (snippet,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    comments = {
+        tok.start[0]: tok.string[1:].strip()
+        for tok in tokenize.generate_tokens(io.StringIO(snippet).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace, checked = {}, []
+    for node in ast.parse(snippet).body:
+        is_literal, want = _literal(comments.get(node.end_lineno, ""))
+        if not is_literal:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        assert isinstance(node, ast.Expr), f"line {node.lineno}: only an expression can show a value"
+        got = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        assert got == want, f"line {node.lineno}: {got!r} != {want!r}"
+        checked.append(want)
+    assert checked  # the snippet shows at least one value
 
 
 # ------------------------------------------------------------ import graph

@@ -31,7 +31,7 @@ RECORDS = [
         ("kind", "i", "k", "p", "x_i", "x_i2", "x_ik", "r", "ell"),
     ),
     (CaseTag, ("Thm2", "k=i", True), ("theorem", "branch", "verbatim")),
-    (FormulaResult, (True, 233, TAG), ("covered", "value", "tag")),
+    (FormulaResult, (233, TAG), ("value", "tag")),
     (BranchDiscriminant, (42, 8), ("lhs", "rhs")),
     (Computation, (233, "closed", TAG), ("value", "path", "tag")),
     (DenumerantTable, (GENS, 2, [1, 0, 0]), ("gens", "limit", "counts")),
@@ -109,8 +109,9 @@ def test_generator_tuple_sorts_and_behaves_as_a_tuple():
     assert GeneratorTuple(tup) == tup
 
 
-def test_formula_result_check_covers_replace():
-    res = FormulaResult(True, 233, TAG)
-    with pytest.raises(AssertionError):
-        res._replace(value=None)
-    assert res._replace(value=5).value == 5
+def test_formula_result_covered_follows_value():
+    res = FormulaResult(233, TAG)
+    assert res.covered
+    assert not FormulaResult(None, TAG).covered
+    assert not res._replace(value=None).covered
+    assert res._replace(value=None)._replace(value=5).covered

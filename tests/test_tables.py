@@ -152,6 +152,14 @@ def test_empty_table_renders_header_only():
     assert out == "t(x,y) = 21*x + 55*y  [mod 8]  levels=0 mode=value\n"
 
 
+def test_cell_refuses_points_outside_the_box(worked_example):
+    w, h = worked_example.width, worked_example.height
+    assert worked_example.cell(w - 1, 0).x == w - 1
+    for x, y in [(-1, 0), (0, -1), (w, 0), (0, h)]:
+        with pytest.raises(IndexError, match="outside table"):
+            worked_example.cell(x, y)
+
+
 def test_build_rejects_negative_levels():
     with pytest.raises(ValueError):
         build_table("fib", 6, 4, -1)
