@@ -32,7 +32,8 @@ residue's list with its settled predecessor's shifted by ``a_j``, and skips
 the merge when the list is full and no arrival is smaller than its last
 value.  One call gives every level ``0..p`` for
 ``O(l*a_1*(p+1)*log(p+1))`` integer operations; :data:`VALUE_BUDGET` bounds
-``a_1*(p+2)``, the values plus one slot per residue for its list.
+``(a_1+11)*(p+2)``: the values, one slot per residue for its list, and
+eleven per level for what each level costs besides its values.
 """
 
 from __future__ import annotations
@@ -56,11 +57,18 @@ __all__ = [
 ]
 
 
-# The most one residue walk may hold, counted as a_1*(p_max + 2): a_1 values
-# per level plus one per residue, whose own list costs about as much as 1.3
-# values.  Checked before anything is allocated; the README gives the time and
-# peak memory of the largest family calls it admits.
+# The most one residue walk may hold, counted as (a_1 + _LEVEL_CHARGE)*(p_max + 2):
+# a_1 values per level plus one per residue, whose own list costs about as much
+# as 1.3 values, plus _LEVEL_CHARGE per level.  A level also costs its tuple and
+# its AperySet, and past two generators the walk merges p_max + 1 rounds of each
+# cycle at once.  At a_1 = 2 that is nearly all of it: charged a_1*(p_max + 2),
+# compute --gens 2,3 --p 2000000 peaked at 506 MB, twice the largest call
+# admitted at large a_1.  _LEVEL_CHARGE is the least that keeps the largest
+# admitted calls at a_1 = 2 and 3 under that one.  Checked before anything is
+# allocated; the README gives the time and peak memory of the largest family
+# calls it admits.
 VALUE_BUDGET = 5_000_000
+_LEVEL_CHARGE = 11
 
 
 class AperySet(NamedTuple):
@@ -152,11 +160,11 @@ def _short(n: int) -> str:
 
 def _check_budget(a1: int, p_max: int) -> None:
     """``ValueError`` if a walk with ``a_1 = a1`` to level ``p_max`` is over :data:`VALUE_BUDGET`."""
-    need = a1 * (p_max + 2)
+    need = (a1 + _LEVEL_CHARGE) * (p_max + 2)
     if need > VALUE_BUDGET:
         raise ValueError(
             f"a_1 = {_short(a1)} at levels 0..{_short(p_max)} needs "
-            f"a_1*(p_max+2) = {_short(need)}, over the budget of {VALUE_BUDGET}"
+            f"(a_1+{_LEVEL_CHARGE})*(p_max+2) = {_short(need)}, over the budget of {VALUE_BUDGET}"
         )
 
 
@@ -167,7 +175,7 @@ def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[Ap
     that asks for ``g`` and then ``n`` of one tuple, and a sweep over many
     tuples holds one walk at a time.  Raises :class:`DegenerateTupleError`
     when the smallest generator is 1, and ``ValueError`` before allocating
-    anything when ``a_1 * (p_max + 2)`` exceeds :data:`VALUE_BUDGET`.
+    anything when ``(a_1 + 11) * (p_max + 2)`` exceeds :data:`VALUE_BUDGET`.
     """
     tup = GeneratorTuple(gens)
     if p_max < 0:

@@ -11,7 +11,7 @@ demanded (``--method closed``) where none is covered, 5 internal error
 
 Every command answers from one residue walk (``exact`` too, from levels
 ``p - 1`` and ``p``), which refuses, with exit 2 and before allocating, a
-tuple whose ``a_1 * (p + 2)`` exceeds :data:`froblab.apery.VALUE_BUDGET`
+tuple whose ``(a_1 + 11) * (p + 2)`` exceeds :data:`froblab.apery.VALUE_BUDGET`
 (5,000,000); ``table`` also refuses a box of more cells than that.  A
 sequence index above :data:`froblab.sequences.MAX_INDEX` (20,000) is
 refused the same way, by ``verify`` for its grid's largest triple before
@@ -27,10 +27,12 @@ import io
 import re
 import sys
 import time
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .apery import _check_budget, apery_levels
 from .closed_forms import (
+    CaseTag,
+    FormulaResult,
     NotCoveredError,
     closed_g,
     closed_n,
@@ -77,9 +79,11 @@ class SweepSpec(NamedTuple):
     quantities: tuple[str, ...] = ("g",)
 
     def triples(self) -> list[tuple[str, int, int]]:
+        """Every ``(kind, i, k)`` in order; past :meth:`largest`'s ``i`` no ``k`` range is left."""
+        top = self.largest()
         out = []
-        for kind in self.kinds:
-            for i in range(self.i_lo, self.i_hi + 1):
+        for kind in self.kinds if top else ():
+            for i in range(self.i_lo, top[0] + 1):
                 k_lo = _bound_at(self.k_lo, i)
                 k_hi = _bound_at(self.k_hi, i)
                 for k in range(max(k_lo, 3), k_hi + 1):
@@ -117,14 +121,16 @@ class Row(NamedTuple):
     verbatim: bool
 
 
-def _sweep_point(kind: str, i: int, k: int, levels: range, quantities: tuple[str, ...]) -> list[Row]:
-    """Rows for one triple at every level of ``levels``, from one oracle call."""
+def _sweep_point(kind: str, i: int, k: int, levels: Sequence[int], quantities: tuple[str, ...],
+                 closed: Optional[Mapping[int, FormulaResult]] = None) -> list[Row]:
+    """Rows for one triple at every level of ``levels`` (ascending), from one oracle call,
+    checked against ``closed[p]`` when given and each quantity's dispatcher otherwise."""
     asets = apery_levels(triple(kind, i, k), levels[-1])
     pr = params(kind, i, k)  # r and ell do not depend on p
     rows = []
     for p in levels:
         for qty in quantities:
-            res = closed_g(kind, i, k, p) if qty == "g" else closed_n(kind, i, k, p)
+            res = closed[p] if closed else (closed_g if qty == "g" else closed_n)(kind, i, k, p)
             oracle = asets[p].frobenius() if qty == "g" else asets[p].sylvester()
             match = (res.value == oracle) if res.covered else None
             tag = res.tag
@@ -134,7 +140,6 @@ def _sweep_point(kind: str, i: int, k: int, levels: range, quantities: tuple[str
 
 class VerifyReport(NamedTuple):
     rows: list[Row]
-    wall_s: float = 0.0
 
     @property
     def points(self) -> int:
@@ -203,13 +208,14 @@ def _check_top(kind: str, i: int, k: int, p_max: int) -> None:
 
 def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None) -> VerifyReport:
     """Evaluate closed forms against the Apery oracle over a grid."""
-    t0 = time.monotonic()
     if not set(spec.quantities) <= set(_QUANTITIES):
         raise ValueError(f"quantities must be from {_QUANTITIES}, got {spec.quantities!r}")
     levels = range(spec.p_lo, spec.p_hi + 1)
     if levels and spec.p_lo < 0:
         raise ValueError(f"p must be >= 0, got {spec.p_lo}")
     top = spec.largest() if levels else None  # checked before the grid is listed
+    if top and spec.i_lo < 3:
+        raise ValueError(f"i must be >= 3, got {spec.i_lo}")
     for kind in spec.kinds if top else ():
         _check_top(kind, *top, spec.p_hi)
     triples = spec.triples() if top else []
@@ -218,7 +224,7 @@ def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None)
         rows.extend(_sweep_point(kind, i, k, levels, spec.quantities))
         if progress and (idx + 1) % 10 == 0:
             progress(f"{idx + 1}/{len(triples)} triples")
-    return VerifyReport(rows, wall_s=time.monotonic() - t0)
+    return VerifyReport(rows)
 
 
 def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyReport:
@@ -228,12 +234,13 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
     ``k = i + h`` and ``k = i + h + 1`` must both have the same largest
     value as the pair alone.
     """
-    t0 = time.monotonic()
     levels = range(p_lo, p_hi + 1)
     if levels and p_lo < 0:
         raise ValueError(f"p must be >= 0, got {p_lo}")
     thresholds = {p: h for p in levels if (h := proposition_h(p)) is not None}
-    if thresholds and i_values:  # the largest triple, at the top level, before any walk
+    if thresholds and i_values:  # the least and the largest triple, before any walk
+        if min(i_values) < 3:
+            raise ValueError(f"i must be >= 3, got {min(i_values)}")
         i_top = max(i_values)
         _check_top("fib", i_top, i_top + max(thresholds.values()) + 1, max(thresholds))
     checked_at: dict[tuple[int, int], list[int]] = {}  # (i, k) -> its levels, ascending
@@ -243,15 +250,11 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
                 checked_at.setdefault((i, k), []).append(p)
     rows = []
     for (i, k), ps in checked_at.items():  # one walk per triple, to its highest level
-        asets = apery_levels(triple("fib", i, k), ps[-1])
-        pr = params("fib", i, k)  # r and ell do not depend on p
-        for p in ps:
-            expected = gp_fib_two_gen(i, p)
-            oracle = asets[p].frobenius()
-            tag = f"Prop/k>=i+{thresholds[p]}"
-            rows.append(Row("fib", i, k, p, pr.r, pr.ell, "g", expected, oracle, tag, expected == oracle, True))
+        pair = {p: FormulaResult(gp_fib_two_gen(i, p), CaseTag("Prop", f"k>=i+{thresholds[p]}", True))
+                for p in ps}
+        rows += _sweep_point("fib", i, k, ps, ("g",), pair)
     rows.sort(key=lambda r: (r.p, r.i, r.k))
-    return VerifyReport(rows, wall_s=time.monotonic() - t0)
+    return VerifyReport(rows)
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +313,23 @@ def _parse_k_span(text: str) -> tuple[tuple[Optional[str], int], tuple[Optional[
         b = _parse_k_bound(text)
         return b, b
     return _parse_k_bound(lo), _parse_k_bound(hi)
+
+
+# flags whose value may be a list or range; argparse reads such a value that
+# starts with "-" (``--i -5..3``) as the next flag unless it is a plain number
+_LIST_FLAGS = ("--gens", "--i", "--k", "--p")
+_DASH_DIGIT = re.compile(r"-[0-9]")
+
+
+def _join_dashed_values(argv: Sequence[str]) -> list[str]:
+    """Spell ``--i -5..3`` as ``--i=-5..3``, so that the flag's own check sees the value."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _LIST_FLAGS and _DASH_DIGIT.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _note(args, text: str) -> None:
@@ -386,6 +406,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    t0 = time.monotonic()
     if args.proposition:
         p_lo, p_hi = _parse_int_span("--p", args.p) if args.p else (0, 6)
         i_lo, i_hi = _parse_int_span("--i", args.i) if args.i else (3, 5)
@@ -406,7 +427,7 @@ def _cmd_verify(args) -> int:
     mismatches = [r._asdict() for r in report.mismatches]
     doc = {"summary": report.summary(), "mismatches": mismatches, "ok": report.ok}
     _write(args, doc, Row._fields[:-1], (r[:-1] for r in report.rows), report.to_text())
-    _note(args, f"wall time: {report.wall_s:.2f}s")
+    _note(args, f"wall time: {time.monotonic() - t0:.2f}s")
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
@@ -532,7 +553,7 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dashed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse already printed the message
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # A closed form multiplies terms near MAX_INDEX, so a printed value can

@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from froblab.apery import VALUE_BUDGET, apery_levels, apery_set, p_frobenius, p_sylvester
+from froblab.apery import VALUE_BUDGET, _check_budget, apery_levels, apery_set, p_frobenius, p_sylvester
 from froblab.denumerant import denumerant, denumerant_table, p_frobenius_scan, p_sylvester_scan
 from froblab.generators import DegenerateTupleError, GeneratorTuple
 
@@ -231,10 +231,16 @@ def test_walk_refuses_over_budget_before_allocating():
     # a1 * (p_max + 2): 2000000014 here, far past the budget.
     with pytest.raises(ValueError, match="over the budget"):
         apery_levels((1000000007, 1000000009), 0)
-    # the least a1 refused at p_max = 10, and at p_max = 0
-    for a1, p_max in ((VALUE_BUDGET // 12 + 1, 10), (VALUE_BUDGET // 2 + 1, 0)):
+    # The charge is (a1 + 11)*(p_max + 2): the least a1 refused at p_max = 10,
+    # and at p_max = 0; one less is admitted.
+    for a1, p_max in ((VALUE_BUDGET // 12 + 1 - 11, 10), (VALUE_BUDGET // 2 + 1 - 11, 0)):
         with pytest.raises(ValueError, match="over the budget"):
             apery_levels((a1, a1 + 1), p_max)
+        _check_budget(a1 - 1, p_max)
+    # at a1 = 2 the per-level charge sets the top level: 13 * 384615 = 4999995
+    _check_budget(2, 384613)
+    with pytest.raises(ValueError, match=r"\(a_1\+11\)\*\(p_max\+2\) = 5000008, over the budget"):
+        _check_budget(2, 384614)
 
 
 def test_level_monotonicity_on_family_triples():

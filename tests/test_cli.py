@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import hashlib
@@ -5,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -228,7 +230,7 @@ def test_over_budget_message_names_long_numbers_by_digit_count(capsys):
     code, out, err = run_cli(capsys, "verify", "--i", "3..8000", "--p", "0")
     assert (code, out) == (2, "")
     assert err == (
-        "froblab: a_1 = (1672 digits) at levels 0..0 needs a_1*(p_max+2) = (1672 digits), "
+        "froblab: a_1 = (1672 digits) at levels 0..0 needs (a_1+11)*(p_max+2) = (1672 digits), "
         "over the budget of 5000000\n"
     )
 
@@ -255,6 +257,30 @@ def test_largest_is_the_last_listed_triple(i_lo, i_hi, k_lo, k_hi):
     spec = cli.SweepSpec(("fib",), i_lo, i_hi, k_lo, k_hi)
     listed = spec.triples()
     assert spec.largest() == (listed[-1][1:] if listed else None)
+    # every i of the range, each with its own k range
+    assert listed == [
+        ("fib", i, k)
+        for i in range(i_lo, i_hi + 1)
+        for k in range(max(cli._bound_at(k_lo, i), 3), cli._bound_at(k_hi, i) + 1)
+    ]
+
+
+def test_listing_stops_where_the_k_range_empties_for_good(capsys, monkeypatch):
+    # From i = 5 on, k = i+1..5 is empty; the listing must not step through
+    # the other 999,999,996 values of i.
+    real, calls = cli._bound_at, []
+
+    def counted(bound, i):
+        calls.append(i)
+        if len(calls) > 1000:
+            raise AssertionError("listed past the last i with a k range")
+        return real(bound, i)
+
+    monkeypatch.setattr(cli, "_bound_at", counted)
+    huge = run_cli(capsys, "verify", "--i", "3..1000000000", "--k", "i+1..5", "--p", "0", "--quiet")
+    small = run_cli(capsys, "verify", "--i", "3..4", "--k", "i+1..5", "--p", "0", "--quiet")
+    assert huge == small
+    assert huge[0] == 0 and huge[1].startswith("checked 3 values at 3 grid points\n")
 
 
 def test_high_level_on_small_tuple_stays_small(capsys):
@@ -347,6 +373,19 @@ def test_k_bounds_that_parse():
     assert cli._parse_k_span("7") == ((None, 7), (None, 7))
 
 
+@pytest.mark.parametrize("flag, value, err", [
+    ("--i", "-5..3", "froblab: i must be >= 3, got -5\n"),
+    ("--p", "-1..3", "froblab: p must be >= 0, got -1\n"),
+], ids=["i", "p"])
+@pytest.mark.parametrize("proposition", [(), ("--proposition",)], ids=["sweep", "proposition"])
+def test_negative_range_is_refused_with_either_spelling(capsys, flag, value, err, proposition):
+    # argparse takes "-5..3" after a flag for the next flag; both spellings
+    # must reach the range's own check and name the bound that was typed.
+    spaced = run_cli(capsys, "verify", *proposition, flag, value)
+    joined = run_cli(capsys, "verify", *proposition, f"{flag}={value}")
+    assert spaced == joined == (2, "", err)
+
+
 def test_verify_rejects_negative_level(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--kind", "fib", "--i", "3..4", "--k", "3..4", "--p=-1..1", "--quiet",
@@ -388,6 +427,36 @@ def test_verify_json_summary(capsys):
     assert doc["ok"] is True
     assert doc["summary"]["mismatches"] == 0
     assert doc["summary"]["covered"] + doc["summary"]["oracle_only"] == doc["summary"]["rows"]
+
+
+def test_a_report_is_a_function_of_its_grid():
+    spec = cli.SweepSpec(("fib", "lucas"), 3, 5, (None, 3), ("i", 2), 0, 3, ("g", "n"))
+    first = cli.run_sweep(spec)
+    assert first.rows and first == cli.run_sweep(spec)
+    first = cli.run_proposition(0, 6, range(3, 5))
+    assert first.rows and first == cli.run_proposition(0, 6, range(3, 5))
+
+
+@pytest.mark.parametrize("extra", [(), ("--proposition",)])
+def test_verify_times_itself_on_stderr_only(capsys, extra):
+    code, out, err = run_cli(capsys, "verify", "--i", "3..4", "--p", "0..4", *extra)
+    assert code == 0 and out.endswith("OK\n") and "wall time" not in out
+    assert [line for line in err.splitlines() if line.startswith("wall time: ")] == [err.splitlines()[-1]]
+    assert re.fullmatch(r"wall time: \d+\.\d\ds", err.splitlines()[-1])
+    # --quiet writes nothing there
+    assert run_cli(capsys, "verify", "--i", "3..4", "--p", "0..4", *extra, "--quiet")[2] == ""
+
+
+def test_only_the_point_loop_builds_rows():
+    tree = ast.parse((SRC / "froblab" / "cli.py").read_text(encoding="utf-8"))
+    builders = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Row"
+    }
+    assert builders == {"_sweep_point"}
 
 
 def test_verify_proposition(capsys):

@@ -2,10 +2,12 @@ import ast
 import importlib
 import io
 import re
+import shlex
 import tokenize
 from pathlib import Path
 
 import froblab
+from froblab import cli
 
 MODULES = ("apery", "closed_forms", "denumerant", "generators", "route", "sequences", "tables")
 
@@ -70,6 +72,24 @@ def test_readme_library_snippet_prints_what_its_comments_say():
         assert got == want, f"line {node.lineno}: {got!r} != {want!r}"
         checked.append(want)
     assert checked  # the snippet shows at least one value
+
+
+def test_readme_cli_block_runs_as_documented(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?```sh\n(.*?)```", readme, re.S | re.M).group(1)
+    lines = block.splitlines()
+    ran = 0
+    for n, line in enumerate(lines):
+        if not line.startswith("froblab "):
+            continue
+        argv = shlex.split(re.sub(r"\s*>\s*\S+$", "", line))[1:]  # the shell's redirect is not an argument
+        code, out = cli.run(argv), capsys.readouterr().out
+        assert code == 0, line
+        # a comment right under a command shows its first line of output
+        if n + 1 < len(lines) and lines[n + 1].startswith("# "):
+            assert out.splitlines()[0] == lines[n + 1][2:], line
+        ran += 1
+    assert ran == 8
 
 
 # ------------------------------------------------------------ import graph
