@@ -24,26 +24,31 @@ smallest values per residue and adds the generators one at a time with a
 round-robin walk over the cycles of ``+a_j mod a_1`` (Böcker & Lipták,
 "A fast and simple algorithm for the money changing problem", 2007, on
 the residue graph of Nijenhuis, 1979), extended from one value per
-residue to ``p+1``.  Starting from ``{0}``, every generator after ``a_1``
-takes two laps per cycle.  The first is one selection: the ``p+1``
-smallest values that reach the cycle's start, taken over every value on
-the cycle at once.  The second walks the cycle once, merging each
-residue's list with its settled predecessor's shifted by ``a_j``, and skips
-the merge when the list is full and no arrival is smaller than its last
-value.  One call gives every level ``0..p`` for
-``O(l*a_1*(p+1)*log(p+1))`` integer operations; :data:`VALUE_BUDGET` bounds
-``(a_1+11)*(p+2)``: the values, one slot per residue for its list, and
-eleven per level for what each level costs besides its values.
+residue to ``p+1``.  The lists of ``a_1, a_2`` alone are written down, not
+walked: residue ``t*a_2 mod a_1``, for ``t < a_1/gcd(a_1, a_2)``, holds
+``t*a_2`` and one more value every lap of ``a_2*a_1/gcd(a_1, a_2)``, a
+``range``.  Every later generator takes two laps per cycle.  The first
+settles the cycle's start: it sorts the least arrival of each list on the
+cycle, sorts the values of the ``p+1`` lists with the least of these, and
+keeps the ``p+1`` smallest; when they span at most one lap they are final,
+and otherwise their later trips round the cycle are merged in.  The second
+walks the cycle once, merging each residue's list with its settled
+predecessor's shifted by ``a_j``, and skips the merge when the list is full
+and no arrival is smaller than its last value.  One call gives every level
+``0..p`` for ``O(l*a_1*(p+1)*log(a_1*(p+1)))`` integer operations;
+:data:`VALUE_BUDGET` bounds ``(a_1+11)*(p+2)``: the values, one slot per
+residue for its list, and eleven per level for what each level costs
+besides its values.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .generators import DegenerateTupleError, GeneratorTuple
 
@@ -69,6 +74,10 @@ __all__ = [
 # calls it admits.
 VALUE_BUDGET = 5_000_000
 _LEVEL_CHARGE = 11
+# A cycle's list heads are sorted this many at a time, keeping the p_max + 1
+# least between batches: one sort of a whole cycle holds a tuple per residue,
+# which at a_1 = 2,178,309 and p_max = 0 raised the peak from 253 to 343 MB.
+_HEADS_AT_ONCE = 4096
 
 
 class AperySet(NamedTuple):
@@ -102,39 +111,67 @@ class AperySet(NamedTuple):
 @lru_cache(maxsize=1)
 def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...], ...]:
     """Apery elements of levels ``0..p_max``, one residue-indexed tuple each."""
-    a1 = gens[0]
+    a1, a2 = gens[0], gens[1]
     keep = p_max + 1
     # smallest[j]: the `keep` smallest combinations of the generators added
     # so far that are ≡ j (mod a1), with multiplicity, ascending.  Adding a
     # links residue j to j + a; the residues fall into cycles, and a full
-    # trip round one adds `lap`.
-    smallest: list[tuple[int, ...]] = [()] * a1
-    smallest[0] = (0,)
-    for a in gens[1:]:
+    # trip round one adds `lap`.  From {0}, a2 reaches only the cycle through
+    # 0: residue t*a2 % a1 holds t*a2 and then one more value every lap, a
+    # range whose stop every residue shares, since each t*a2 is under one lap.
+    length = a1 // gcd(a1, a2)
+    lap = length * a2
+    stop = keep * lap
+    smallest: list[Sequence[int]] = [()] * a1
+    # The multiples of a2 are made by addition, as every later value is:
+    # CPython gives a sum of multi-digit ints a spare digit and so a larger
+    # allocation than range() gives the same int, and a pass that frees ints
+    # of one size and makes ints of the other cannot reuse the memory
+    # (range(0, lap, a2) raised the peak at a1 = 2,178,309, p_max = 0 from 253
+    # to 286 MB).
+    for v in accumulate(repeat(a2, length - 1), initial=0):
+        smallest[v % a1] = range(v, stop, lap)
+    for a in gens[2:]:
         step = a % a1
         cycles = gcd(step, a1)
         length = a1 // cycles
         lap = length * a
         for start in range(cycles):
-            # First lap: what reaches `start` from residue start + t*step has
-            # gone (length - t) % length steps of a; keep the smallest overall.
-            reach = heapq.nsmallest(
-                keep,
-                (
-                    v + (length - t) % length * a
-                    for t in range(length)
-                    for v in smallest[(start + t * step) % a1]
-                ),
-            )
-            if not reach:  # no value on this cycle yet
+            # First lap: residue x % a1 for x = start + t*a, t = 1..length, is
+            # (length - t) steps of a short of `start`, so its values arrive
+            # there raised by base - x; t = length is `start` itself.  A list
+            # whose least arrival is not among the keep least has keep smaller
+            # arrivals before its first, so only the keep least heads' lists
+            # are read.
+            base = start + lap
+            heads: list[tuple[int, int]] = []
+            for lo in range(start + a, base + a, _HEADS_AT_ONCE * a):
+                heads += (
+                    (own[0] - x, x)
+                    for x in range(lo, min(lo + _HEADS_AT_ONCE * a, base + a), a)
+                    if (own := smallest[x % a1])
+                )
+                heads.sort()
+                del heads[keep:]
+            if not heads:  # no value on this cycle yet
                 continue
+            reach: list[int] = []
+            for _, x in heads:
+                shift = base - x
+                reach += [v + shift for v in smallest[x % a1]]
+            reach.sort()
+            del reach[keep:]
             # Anything else at `start` is one of these taken w >= 1 more times
-            # round the cycle; v + w*lap has w smaller values, so w < keep.
-            # Merging the keep rounds of each value holds O(keep) of them, not
-            # keep**2.
-            prev = smallest[start] = tuple(
-                islice(heapq.merge(*(range(v, v + keep * lap, lap) for v in reach)), keep)
-            )
+            # round the cycle, so none is below reach[0] + lap: keep values
+            # spanning at most one lap are final.  Otherwise v + w*lap has w
+            # smaller values, so w < keep; merging the keep rounds of each value
+            # holds O(keep) of them, not keep**2 (at a1 = 2 and a deep p_max).
+            if len(reach) == keep and reach[-1] <= reach[0] + lap:
+                prev = smallest[start] = tuple(reach)
+            else:
+                prev = smallest[start] = tuple(
+                    islice(heapq.merge(*(range(v, v + keep * lap, lap) for v in reach)), keep)
+                )
             # Second lap: each residue from its settled predecessor.  A full
             # list whose largest value is at most the least arrival is final.
             for t in range(1, length):

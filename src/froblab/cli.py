@@ -125,8 +125,8 @@ def _sweep_point(kind: str, i: int, k: int, levels: Sequence[int], quantities: t
                  closed: Optional[Mapping[int, FormulaResult]] = None) -> list[Row]:
     """Rows for one triple at every level of ``levels`` (ascending), from one oracle call,
     checked against ``closed[p]`` when given and each quantity's dispatcher otherwise."""
-    asets = apery_levels(triple(kind, i, k), levels[-1])
     pr = params(kind, i, k)  # r and ell do not depend on p
+    asets = apery_levels((pr.x_i, pr.x_i2, pr.x_ik), levels[-1])
     rows = []
     for p in levels:
         for qty in quantities:

@@ -93,7 +93,7 @@ def test_two_generator_closed_form_against_scan():
             for p in range(6):
                 g = (p + 1) * a * b - a - b
                 assert p_frobenius_scan((a, b), p) == g
-                # the walk's whole work on a pair is its first generator after a_1
+                # a pair is the walk's closed-form lists of a_1, a_2 and nothing else
                 assert p_frobenius((a, b), p) == g
                 assert 2 * p_sylvester((a, b), p) == (2 * p + 1) * a * b - a - b + 1
 
@@ -197,9 +197,25 @@ def _assert_walk_matches_scan(gens, p_max):
         assert aset.elements == _scan_elements(gens, p), (gens, p)
 
 
-# Pairs run only the closed-form first pass; the triples make the later
-# passes split into several cycles (6,10,15 and 4,6,9 on both generators,
-# 2,4,5 with a second generator ≡ 0) or pile up equal values at one residue.
+# Which case reaches which branch of the walk, read off a line trace of
+# _apery_elements once:
+# - a1 and a2 are written down as one cycle through 0: a pair is nothing
+#   else, and with a2 ≡ 0 that cycle has length 1 (2, 4, 5);
+# - every later pass first reads those ranges; a pass after the third
+#   generator reads tuples: (5, 8, 9, 12) and (12, 16, 18, 27);
+# - a start settled from the head lists without a merge: (8, 21, 55), which
+#   never merges, and (10, 12, 13), (5, 8, 9, 12), (12, 16, 18, 27);
+# - the list of the keep-th least head supplies one of the keep least
+#   arrivals: (5, 6, 7) at p_max = 2 (one list fewer gives wrong elements);
+# - the heapq.merge fallback: (2, 5, 13) at a deep p_max, whose keep values
+#   span many laps, and every case with fewer values on a cycle than keep;
+# - cycles with fewer non-empty lists than p_max + 1 though no shorter, since
+#   gcd(a1, a2) > 1: (10, 12, 13) (5 of 10) and (12, 16, 18, 27);
+# - cycles of length 1 in a later pass (a_j ≡ 0 mod a1): (3, 4, 6), (2, 3, 6);
+# - cycles with no value at all: (12, 16, 18, 27), where 16 and 18 reach only
+#   even residues and +18 splits the residues mod 12 into six cycles;
+# - several cycles of length > 1: (6, 10, 15), three on 15;
+# - equal values piled up at one residue: (3, 4, 6), (2, 3, 6).
 @pytest.mark.parametrize(
     "gens, p_max",
     [
@@ -212,6 +228,12 @@ def _assert_walk_matches_scan(gens, p_max):
         ((2, 4, 5), 10),
         ((3, 4, 6), 12),
         ((2, 3, 6), 12),
+        ((8, 21, 55), 4),
+        ((5, 6, 7), 2),
+        ((2, 5, 13), 30),
+        ((10, 12, 13), 6),
+        ((5, 8, 9, 12), 10),
+        ((12, 16, 18, 27), 3),
     ],
 )
 def test_walk_branches_match_dense_count_scan(gens, p_max):
