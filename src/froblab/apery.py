@@ -29,9 +29,10 @@ walked: residue ``t*a_2 mod a_1``, for ``t < a_1/gcd(a_1, a_2)``, holds
 ``t*a_2`` and one more value every lap of ``a_2*a_1/gcd(a_1, a_2)``, a
 ``range``.  Every later generator takes two laps per cycle.  The first
 settles the cycle's start: it sorts the least arrival of each list on the
-cycle, sorts the values of the ``p+1`` lists with the least of these, and
-keeps the ``p+1`` smallest; when they span at most one lap they are final,
-and otherwise their later trips round the cycle are merged in.  The second
+cycle and folds in the ``p+1`` lists with the least of these, in that
+order, keeping the ``p+1`` smallest values and reading a list only below the
+largest once they are held; values spanning at most one lap are final, and
+otherwise their later trips round the cycle are merged in.  The second
 walks the cycle once, merging each residue's list with its settled
 predecessor's shifted by ``a_j``, and skips the merge when the list is full
 and no arrival is smaller than its last value.  One call gives every level
@@ -44,6 +45,7 @@ besides its values.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import gcd
@@ -142,7 +144,8 @@ def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...],
             # there raised by base - x; t = length is `start` itself.  A list
             # whose least arrival is not among the keep least has keep smaller
             # arrivals before its first, so only the keep least heads' lists
-            # are read.
+            # are read, in head order; once keep values are held, a list is read
+            # only below the largest of them, so the lap holds O(keep) values.
             base = start + lap
             heads: list[tuple[int, int]] = []
             for lo in range(start + a, base + a, _HEADS_AT_ONCE * a):
@@ -158,9 +161,13 @@ def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...],
             reach: list[int] = []
             for _, x in heads:
                 shift = base - x
-                reach += [v + shift for v in smallest[x % a1]]
-            reach.sort()
-            del reach[keep:]
+                own = smallest[x % a1]
+                cut = bisect_left(own, reach[-1] - shift) if len(reach) == keep else keep
+                if not cut:  # the heads ascend, so no later list reaches lower
+                    break
+                reach += [v + shift for v in islice(own, cut)]
+                reach.sort()
+                del reach[keep:]
             # Anything else at `start` is one of these taken w >= 1 more times
             # round the cycle, so none is below reach[0] + lap: keep values
             # spanning at most one lap are final.  Otherwise v + w*lap has w

@@ -39,7 +39,6 @@ from .closed_forms import (
     gp_fib_two_gen,
     params,
     proposition_h,
-    triple,
 )
 from .generators import DegenerateTupleError, GeneratorTuple, TupleValidationError
 from .route import compute
@@ -125,12 +124,12 @@ def _sweep_point(kind: str, i: int, k: int, levels: Sequence[int], quantities: t
                  closed: Optional[Mapping[int, FormulaResult]] = None) -> list[Row]:
     """Rows for one triple at every level of ``levels`` (ascending), from one oracle call,
     checked against ``closed[p]`` when given and each quantity's dispatcher otherwise."""
-    pr = params(kind, i, k)  # r and ell do not depend on p
-    asets = apery_levels((pr.x_i, pr.x_i2, pr.x_ik), levels[-1])
+    pr = params(kind, i, k)  # the same at every level
+    asets = apery_levels(pr.gens, levels[-1])
     rows = []
     for p in levels:
         for qty in quantities:
-            res = closed[p] if closed else (closed_g if qty == "g" else closed_n)(kind, i, k, p)
+            res = closed[p] if closed else (closed_g if qty == "g" else closed_n)(pr, p)
             oracle = asets[p].frobenius() if qty == "g" else asets[p].sylvester()
             match = (res.value == oracle) if res.covered else None
             tag = res.tag
@@ -381,18 +380,13 @@ def _write(args, doc, columns, rows, text: str, indent: Optional[int] = 2) -> No
 def _cmd_compute(args) -> int:
     quantities = _QUANTITIES if args.what == "both" else (args.what,)
     if args.gens is not None:
-        tup, family = _parse_gens(args.gens), None
-        header = {"gens": list(tup.gens), "p": args.p}
+        source = tup = _parse_gens(args.gens)
+        header = {}
     else:
-        tup, family = triple(args.kind, args.i, args.k), (args.kind, args.i, args.k)
-        header = {
-            "kind": SequenceKind.parse(args.kind).value,
-            "i": args.i,
-            "k": args.k,
-            "gens": list(tup.gens),
-            "p": args.p,
-        }
-    comps = [compute(qty, tup, args.p, args.method, family) for qty in quantities]
+        source = params(args.kind, args.i, args.k)
+        tup = source.gens
+        header = {"kind": source.kind.value, "i": args.i, "k": args.k}
+    comps = [compute(qty, source, args.p, args.method) for qty in quantities]
 
     columns = ("quantity", "value", "method", "tag")
     rows = [(qty, c.value, c.path, str(c.tag) if c.tag else None) for qty, c in zip(quantities, comps)]
@@ -401,7 +395,8 @@ def _cmd_compute(args) -> int:
         for qty, value, path, tag in rows
     )
     results = [dict(zip(columns, row)) for row in rows]
-    _write(args, {**header, "results": results}, columns, rows, text)
+    doc = {**header, "gens": list(tup.gens), "p": args.p, "results": results}
+    _write(args, doc, columns, rows, text)
     return EXIT_OK
 
 

@@ -17,7 +17,8 @@ branches the sweep report, not a silent rewrite, is the contract.
 
 Index conventions used throughout: ``i, k >= 3``; the splitting
 parameters are ``r, ell = divmod(x_i - 1, fib(k))`` — note ``fib(k)``
-even in the Lucas family.
+even in the Lucas family.  :func:`params` resolves them once per triple,
+and every closed form takes that :class:`TripleParams` and a level ``p``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class NotCoveredError(ValueError):
 
 
 class TripleParams(NamedTuple):
-    """Resolved data for one triple at one level.
+    """Resolved data for one family triple, the same at every level.
 
     ``r`` counts how many full blocks of width ``fib(k)`` fit into
     ``x_i - 1`` and ``ell`` is what remains; together they locate the
@@ -62,31 +63,41 @@ class TripleParams(NamedTuple):
     kind: SequenceKind
     i: int
     k: int
-    p: int
     x_i: int
     x_i2: int
     x_ik: int
     r: int
     ell: int
 
+    @property
+    def gens(self) -> GeneratorTuple:
+        """The generator tuple ``(x_i, x_{i+2}, x_{i+k})``."""
+        return GeneratorTuple((self.x_i, self.x_i2, self.x_ik))
 
-def params(kind: "SequenceKind | str", i: int, k: int, p: int = 0) -> TripleParams:
+
+def params(kind: "SequenceKind | str", i: int, k: int) -> TripleParams:
+    """The one constructor of :class:`TripleParams`; refuses ``i < 3`` or ``k < 3``."""
     kind = SequenceKind.parse(kind)
     if i < 3:
         raise ValueError(f"i must be >= 3, got {i}")
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
     x_i, x_i2, x_ik = seq(kind, i), seq(kind, i + 2), seq(kind, i + k)
     r, ell = divmod(x_i - 1, fib(k))
-    return TripleParams(kind, i, k, p, x_i, x_i2, x_ik, r, ell)
+    return TripleParams(kind, i, k, x_i, x_i2, x_ik, r, ell)
 
 
 def triple(kind: "SequenceKind | str", i: int, k: int) -> GeneratorTuple:
     """The generator tuple ``(x_i, x_{i+2}, x_{i+k})``, with the checks of :func:`params`."""
-    pr = params(kind, i, k)
-    return GeneratorTuple((pr.x_i, pr.x_i2, pr.x_ik))
+    return params(kind, i, k).gens
+
+
+def _check(pr: TripleParams, p: int, kind: Optional[SequenceKind] = None) -> None:
+    """Refuse a negative level, or a triple of a family other than ``kind``."""
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p}")
+    if kind is not None and pr.kind is not kind:
+        raise ValueError(f"a {kind.value} closed form was given a {pr.kind.value} triple")
 
 
 class CaseTag(NamedTuple):
@@ -160,29 +171,31 @@ def _half(x: int) -> int:
     return q
 
 
-def _gp_general(pr: TripleParams, theorem: str) -> FormulaResult:
+def _gp_general(pr: TripleParams, p: int, theorem: str) -> FormulaResult:
     """The uniform two-case largest-value formula (needs ``r >= p``).
 
     Which of the two cases fired is recoverable from :func:`discriminant`;
     the tag names only the branch family.
     """
-    if pr.r < pr.p:
-        raise AssertionError(f"{theorem}/general needs r >= p, got r={pr.r} p={pr.p}")
+    _check(pr, p)
+    if pr.r < p:
+        raise AssertionError(f"{theorem}/general needs r >= p, got r={pr.r} p={p}")
     fk = fib(pr.k)
     if discriminant(pr).first:
-        v = (pr.x_i - pr.r * fk - 1) * pr.x_i2 + (pr.r + pr.p) * pr.x_ik - pr.x_i
+        v = (pr.x_i - pr.r * fk - 1) * pr.x_i2 + (pr.r + p) * pr.x_ik - pr.x_i
     else:
-        v = (fk - 1) * pr.x_i2 + (pr.r + pr.p - 1) * pr.x_ik - pr.x_i
+        v = (fk - 1) * pr.x_i2 + (pr.r + p - 1) * pr.x_ik - pr.x_i
     return _hit(theorem, "general", v)
 
 
-def _np_general(pr: TripleParams, theorem: str) -> FormulaResult:
+def _np_general(pr: TripleParams, p: int, theorem: str) -> FormulaResult:
     """The uniform averaged-count formula (needs ``r >= p``)."""
-    if pr.r < pr.p:
-        raise AssertionError(f"{theorem}/general needs r >= p, got r={pr.r} p={pr.p}")
+    _check(pr, p)
+    if pr.r < p:
+        raise AssertionError(f"{theorem}/general needs r >= p, got r={pr.r} p={p}")
     fk, fk2 = fib(pr.k), fib(pr.k - 2)
-    base = _half((pr.x_i + 2 * pr.p * fk - 1) * pr.x_i2 - pr.x_i + 1)
-    corr = _half((2 * pr.r * pr.x_i - (pr.r + pr.p + 1) * (pr.r - pr.p) * fk) * fk2)
+    base = _half((pr.x_i + 2 * p * fk - 1) * pr.x_i2 - pr.x_i + 1)
+    corr = _half((2 * pr.r * pr.x_i - (pr.r + p + 1) * (pr.r - p) * fk) * fk2)
     return _hit(theorem, "general", base - corr)
 
 
@@ -211,9 +224,10 @@ def proposition_h(p: int) -> Optional[int]:
     return _PROP_H.get(p)
 
 
-def gp_fib(i: int, k: int, p: int) -> FormulaResult:
+def gp_fib(pr: TripleParams, p: int) -> FormulaResult:
     """Closed-form largest value for the Fibonacci triple, when covered."""
-    pr = params(SequenceKind.FIBONACCI, i, k, p)
+    _check(pr, p, SequenceKind.FIBONACCI)
+    i, k = pr.i, pr.k
     Fi, Fi2, Fik = pr.x_i, pr.x_i2, pr.x_ik
 
     if p == 1:
@@ -223,7 +237,7 @@ def gp_fib(i: int, k: int, p: int) -> FormulaResult:
             return _hit("Thm2", "k=i+1", (fib(i - 2) - 1) * Fi2 + Fik - Fi)
         if k == i:
             return _hit("Thm2", "k=i", (Fi - 1) * Fi2 + Fik - Fi)
-        return _gp_general(pr, "Thm2")  # k <= i-1 forces F_i - 1 >= F_k
+        return _gp_general(pr, p, "Thm2")  # k <= i-1 forces F_i - 1 >= F_k
 
     if p == 2:
         if k >= i + 3:
@@ -240,7 +254,7 @@ def gp_fib(i: int, k: int, p: int) -> FormulaResult:
             if i >= 5:
                 return _hit("Thm3", "k=i-1", (fib(i - 4) - 1) * Fi2 + 3 * Fik - Fi)
             return _hit("Thm3", "k=i-1 i=4", Fi2 + 2 * Fik - Fi)
-        return _gp_general(pr, "Thm3")  # k <= i-2 forces F_i - 1 >= 2*F_k
+        return _gp_general(pr, p, "Thm3")  # k <= i-2 forces F_i - 1 >= 2*F_k
 
     if p == 3:
         if k >= i + 3:
@@ -264,21 +278,22 @@ def gp_fib(i: int, k: int, p: int) -> FormulaResult:
             if i >= 6:
                 return _hit("Thm4", "k=i-2", (fib(i - 5) - 1) * Fi2 + 5 * Fik - Fi)
             return _hit("Thm4", "k=i-2 i=5", Fi2 + 4 * Fik - Fi)
-        return _gp_general(pr, "Thm4")  # k <= i-3 forces F_i - 1 >= 3*F_k
+        return _gp_general(pr, p, "Thm4")  # k <= i-3 forces F_i - 1 >= 3*F_k
 
     # p == 0 and p >= 4 share the uniform statement: it needs r >= p and
     # excludes the (r, p) = (0, 0) corner.
     if pr.r >= p and (pr.r, p) != (0, 0):
-        return _gp_general(pr, "Thm5")
+        return _gp_general(pr, p, "Thm5")
     h = proposition_h(p)
     if h is not None and k >= i + h:
         return _hit("Prop", f"k>=i+{h}", gp_fib_two_gen(i, p), verbatim=True)
     return _miss(f"fib g: uncovered at i={i} k={k} p={p} (r={pr.r})")
 
 
-def gp_lucas(i: int, k: int, p: int) -> FormulaResult:
+def gp_lucas(pr: TripleParams, p: int) -> FormulaResult:
     """Closed-form largest value for the Lucas triple, when covered."""
-    pr = params(SequenceKind.LUCAS, i, k, p)
+    _check(pr, p, SequenceKind.LUCAS)
+    i, k = pr.i, pr.k
     Li, Li2, Lik = pr.x_i, pr.x_i2, pr.x_ik
     fk, fk2 = fib(k), fib(k - 2)
 
@@ -297,7 +312,7 @@ def gp_lucas(i: int, k: int, p: int) -> FormulaResult:
             return _hit("Thm6", "k=i+3", (fib(i + 3) - 1) * Li2 - Li)
         if k == i + 2:
             return _hit("Thm6", "k=i+2", (3 * fib(i - 1) - 1) * Li2 + Lik - Li)
-        return _gp_general(pr, "Thm6")  # k <= i+1 forces L_i - 1 >= F_k
+        return _gp_general(pr, p, "Thm6")  # k <= i+1 forces L_i - 1 >= F_k
 
     if p == 2:
         if k >= i + 4:
@@ -313,7 +328,7 @@ def gp_lucas(i: int, k: int, p: int) -> FormulaResult:
         if k == i and i == 3:
             return _hit("Thm7", "k=i i=3", Li2 + 3 * Lik - Li)
         # k <= i, and (3, 3) is returned above, so L_i - 1 >= 2*F_k
-        return _gp_general(pr, "Thm7")
+        return _gp_general(pr, p, "Thm7")
 
     if p == 3:
         if k >= i + 5:
@@ -332,16 +347,17 @@ def gp_lucas(i: int, k: int, p: int) -> FormulaResult:
             if i >= 4:
                 return _hit("Thm8", "k=i", (2 * fib(i - 3) - 1) * Li2 + 4 * Lik - Li)
             return _hit("Thm8", "k=i i=3", 3 * Li2 + 2 * Lik - Li)
-        return _gp_general(pr, "Thm8")  # k <= i-1 forces L_i - 1 >= 3*F_k
+        return _gp_general(pr, p, "Thm8")  # k <= i-1 forces L_i - 1 >= 3*F_k
 
     if pr.r >= p and (pr.r, p) != (0, 0):
-        return _gp_general(pr, "Thm9")
+        return _gp_general(pr, p, "Thm9")
     return _miss(f"lucas g: uncovered at i={i} k={k} p={p} (r={pr.r})")
 
 
-def np_fib(i: int, k: int, p: int) -> FormulaResult:
+def np_fib(pr: TripleParams, p: int) -> FormulaResult:
     """Closed-form count of low-representation integers, Fibonacci triples."""
-    pr = params(SequenceKind.FIBONACCI, i, k, p)
+    _check(pr, p, SequenceKind.FIBONACCI)
+    i, k = pr.i, pr.k
     Fi, Fi2, Fik = pr.x_i, pr.x_i2, pr.x_ik
 
     if p == 1:
@@ -350,7 +366,7 @@ def np_fib(i: int, k: int, p: int) -> FormulaResult:
         if k in (i, i + 1):
             v = _half(3 * Fi * Fi2 - Fi - Fi2 + 1) - (2 * Fi - fib(k)) * fib(k - 2)
             return _hit("N1", "k=i or k=i+1", v)
-        return _np_general(pr, "N1")  # k <= i-1 forces F_i - 1 >= F_k
+        return _np_general(pr, p, "N1")  # k <= i-1 forces F_i - 1 >= F_k
 
     if p == 2:
         if k >= i + 3:
@@ -364,7 +380,7 @@ def np_fib(i: int, k: int, p: int) -> FormulaResult:
         if k == i - 1:
             v = _half((170 * Fi - 1) * Fi + (24 * Fi2 - 125 * Fi - 1) * Fi2 + 1)
             return _hit("N2", "k=i-1", v, verbatim=True)
-        return _np_general(pr, "N2")  # k <= i-2 forces F_i - 1 >= 2*F_k
+        return _np_general(pr, p, "N2")  # k <= i-2 forces F_i - 1 >= 2*F_k
 
     if p == 3:
         if k >= i + 3:
@@ -383,28 +399,28 @@ def np_fib(i: int, k: int, p: int) -> FormulaResult:
         if k == i - 2:
             v = _half((3 * Fi - 1) * Fi2 - Fi + 1) - (8 * Fi - 15 * fib(i - 2)) * fib(i - 4)
             return _hit("N3", "k=i-2", v)
-        return _np_general(pr, "N3")  # k <= i-3 forces F_i - 1 >= 3*F_k
+        return _np_general(pr, p, "N3")  # k <= i-3 forces F_i - 1 >= 3*F_k
 
     # p == 0 and p >= 4: the uniform statement covers every r >= p (no
     # corner exclusion here, unlike the largest-value formula).
     if pr.r >= p:
-        return _np_general(pr, "Np")
+        return _np_general(pr, p, "Np")
     return _miss(f"fib n: uncovered at i={i} k={k} p={p} (r={pr.r})")
 
 
-def np_lucas(i: int, k: int, p: int) -> FormulaResult:
+def np_lucas(pr: TripleParams, p: int) -> FormulaResult:
     """No closed form is carried for Lucas counts; always a miss."""
-    params(SequenceKind.LUCAS, i, k, p)  # still validate the indices
-    return _miss(f"lucas n: no closed form at i={i} k={k} p={p}")
+    _check(pr, p, SequenceKind.LUCAS)
+    return _miss(f"lucas n: no closed form at i={pr.i} k={pr.k} p={p}")
 
 
-def closed_g(kind: "SequenceKind | str", i: int, k: int, p: int) -> FormulaResult:
-    if SequenceKind.parse(kind) is SequenceKind.FIBONACCI:
-        return gp_fib(i, k, p)
-    return gp_lucas(i, k, p)
+def closed_g(pr: TripleParams, p: int) -> FormulaResult:
+    if pr.kind is SequenceKind.FIBONACCI:
+        return gp_fib(pr, p)
+    return gp_lucas(pr, p)
 
 
-def closed_n(kind: "SequenceKind | str", i: int, k: int, p: int) -> FormulaResult:
-    if SequenceKind.parse(kind) is SequenceKind.FIBONACCI:
-        return np_fib(i, k, p)
-    return np_lucas(i, k, p)
+def closed_n(pr: TripleParams, p: int) -> FormulaResult:
+    if pr.kind is SequenceKind.FIBONACCI:
+        return np_fib(pr, p)
+    return np_lucas(pr, p)

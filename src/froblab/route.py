@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .apery import apery_set
-from .closed_forms import CaseTag, NotCoveredError, closed_g, closed_n, triple
+from .closed_forms import CaseTag, NotCoveredError, TripleParams, closed_g, closed_n, params
 from .generators import DegenerateTupleError, GeneratorTuple
 from .sequences import SequenceKind
 
@@ -34,36 +34,32 @@ _METHODS = ("auto", "closed", "oracle")
 
 def compute(
     quantity: str,
-    gens: "GeneratorTuple | Iterable[int]",
+    source: "TripleParams | GeneratorTuple | Iterable[int]",
     p: int,
     method: str = "auto",
-    family: "Optional[tuple[SequenceKind | str, int, int]]" = None,
 ) -> Computation:
-    """``g_p`` (``quantity="g"``) or ``n_p`` (``"n"``) of ``gens``.
+    """``g_p`` (``quantity="g"``) or ``n_p`` (``"n"``) of ``source``.
 
-    ``family`` is the ``(kind, i, k)`` whose :func:`~froblab.closed_forms.triple`
-    is ``gens``, or ``None`` for a tuple given by its generators, which no
-    closed form covers; a ``family`` whose triple is not ``gens`` raises
-    :class:`ValueError`.  Raises :class:`NotCoveredError` under
-    ``method="closed"`` where no branch covers the point, and
-    :class:`DegenerateTupleError` under every method when the smallest
-    generator is 1.
+    ``source`` is a family triple's :class:`~froblab.closed_forms.TripleParams`,
+    or a tuple given by its generators, which no closed form covers.  Raises
+    :class:`NotCoveredError` under ``method="closed"`` where no branch covers
+    the point, and :class:`DegenerateTupleError` under every method when the
+    smallest generator is 1.
     """
     if quantity not in _QUANTITIES:
         raise ValueError(f"quantity must be one of {_QUANTITIES}, got {quantity!r}")
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    tup = GeneratorTuple(gens)
-    if family is not None and (named := triple(*family)) != tup:
-        raise ValueError(f"family {tuple(family)} names {named}, not {tup}")
+    pr = source if isinstance(source, TripleParams) else None
+    tup = GeneratorTuple(source) if pr is None else pr.gens
     # Before the closed-form refusal, so that a degenerate tuple says so.
     if tup.a1 == 1:
         raise DegenerateTupleError(f"smallest generator of {tup} is 1")
     if method != "oracle":
-        if family is None:
+        if pr is None:
             reason = "closed forms exist only for --kind triples"
         else:
-            res = (closed_g if quantity == "g" else closed_n)(*family, p)
+            res = (closed_g if quantity == "g" else closed_n)(pr, p)
             if res.covered:
                 return Computation(res.value, "closed", res.tag)
             reason = res.tag.branch
@@ -77,11 +73,11 @@ def compute_g(
     kind: "SequenceKind | str", i: int, k: int, p: int, method: str = "auto"
 ) -> Computation:
     """Largest value for the triple; closed form when possible under ``auto``."""
-    return compute("g", triple(kind, i, k), p, method, (kind, i, k))
+    return compute("g", params(kind, i, k), p, method)
 
 
 def compute_n(
     kind: "SequenceKind | str", i: int, k: int, p: int, method: str = "auto"
 ) -> Computation:
     """Count of low-representation integers for the triple."""
-    return compute("n", triple(kind, i, k), p, method, (kind, i, k))
+    return compute("n", params(kind, i, k), p, method)

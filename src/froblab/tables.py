@@ -25,7 +25,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .apery import VALUE_BUDGET, AperySet, apery_levels
-from .closed_forms import TripleParams, params, triple
+from .closed_forms import TripleParams, params
 from .generators import GeneratorTuple
 from .sequences import SequenceKind, fib
 
@@ -47,12 +47,13 @@ class Cell(NamedTuple):
 class ResidueTable(NamedTuple):
     """The annotated grid, trimmed to the bounding box of annotations.
 
-    ``cells`` is row-major (y outer, x inner) over the bounding box.
+    ``cells`` is row-major (y outer, x inner) over the bounding box, and
+    the largest level is ``p_max = len(levels) - 1``.
     ``row_extents[y]`` is the largest annotated ``x`` in row ``y`` (every
     row inside the box has at least one annotation; rendering stops there).
     """
 
-    params: TripleParams  # its p field is the largest level minus one
+    params: TripleParams
     gens: GeneratorTuple
     levels: tuple[AperySet, ...]
     cells: tuple[Cell, ...]
@@ -77,10 +78,8 @@ def build_table(kind: "SequenceKind | str", i: int, k: int, p_max: int) -> Resid
 
     Refuses a box of more than ``VALUE_BUDGET`` cells before building any.
     """
-    if p_max < 0:
-        raise ValueError(f"p_max must be >= 0, got {p_max}")
-    pr = params(kind, i, k, p_max)
-    tup = triple(kind, i, k)
+    pr = params(kind, i, k)
+    tup = pr.gens
     a1, a2, a3 = tup.gens
 
     levels = apery_levels(tup, p_max)
@@ -185,7 +184,7 @@ def export_json(table: ResidueTable) -> str:
     ]
     after = _AFTER_CELLS % (
         pr.ell, _json_list(["    %d" % g for g in table.gens.gens], "  "),
-        pr.i, pr.k, pr.kind.value, _json_list(levels, "  "), pr.p, pr.r,
+        pr.i, pr.k, pr.kind.value, _json_list(levels, "  "), len(levels) - 1, pr.r,
     )
     cells = [
         _CELL % ("null" if c.level is None else c.level, c.residue, c.value, c.x, c.y)

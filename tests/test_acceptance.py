@@ -23,7 +23,7 @@ import pytest
 
 from froblab.apery import _apery_elements, apery_set, p_frobenius, p_sylvester
 from froblab.cli import SweepSpec, run_proposition, run_sweep
-from froblab.closed_forms import closed_n, gp_fib, gp_lucas, triple
+from froblab.closed_forms import closed_n, gp_fib, gp_lucas, params, triple
 from froblab.denumerant import largest_with_exactly_p
 from froblab.generators import GeneratorTuple
 from froblab.sequences import fib, lucas
@@ -103,7 +103,7 @@ def test_criterion_04_pinned_exceptional_constants():
 
     failures = []
     for kind, i, k, p, want in pinned:
-        closed = (gp_fib if kind == "fib" else gp_lucas)(i, k, p)
+        closed = (gp_fib if kind == "fib" else gp_lucas)(params(kind, i, k), p)
         oracle = p_frobenius(triple(kind, i, k), p)
         ok = closed.covered and closed.value == want and oracle == want
         print(
@@ -203,7 +203,7 @@ def test_criterion_09_invariant_suite_condensed():
     for i in range(3, 13):
         for k in range(3, i + 6):
             for p in range(5):
-                res = closed_n("fib", i, k, p)
+                res = closed_n(params("fib", i, k), p)
                 assert not res.covered or res.value >= 0
 
     # the two sequence identities on the stated ranges

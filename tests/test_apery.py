@@ -207,6 +207,10 @@ def _assert_walk_matches_scan(gens, p_max):
 #   never merges, and (10, 12, 13), (5, 8, 9, 12), (12, 16, 18, 27);
 # - the list of the keep-th least head supplies one of the keep least
 #   arrivals: (5, 6, 7) at p_max = 2 (one list fewer gives wrong elements);
+# - a first lap that cuts later lists below its keep-th least value, on a
+#   cycle of fewer lists than keep: (8, 21, 55) at p_max = 40 (8 lists,
+#   seven cut, 187 values left unread), and a lap that stops at a list the
+#   cut empties: (8, 21, 55) at 4, (10, 12, 13), (5, 8, 9, 12);
 # - the heapq.merge fallback: (2, 5, 13) at a deep p_max, whose keep values
 #   span many laps, and every case with fewer values on a cycle than keep;
 # - cycles with fewer non-empty lists than p_max + 1 though no shorter, since
@@ -229,6 +233,7 @@ def _assert_walk_matches_scan(gens, p_max):
         ((3, 4, 6), 12),
         ((2, 3, 6), 12),
         ((8, 21, 55), 4),
+        ((8, 21, 55), 40),
         ((5, 6, 7), 2),
         ((2, 5, 13), 30),
         ((10, 12, 13), 6),

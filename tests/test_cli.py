@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from froblab import cli, tables
 from froblab.apery import _apery_elements
-from froblab.closed_forms import closed_g
+from froblab.closed_forms import closed_g, params
 from froblab.denumerant import largest_with_exactly_p, p_frobenius_scan, p_sylvester_scan
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -781,7 +781,7 @@ def test_large_closed_form_value_prints(capsys, method, fmt):
     )
     assert (code, err) == (0, "")
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-    expected = closed_g("fib", 15000, 4, 0).value
+    expected = closed_g(params("fib", 15000, 4), 0).value
     with _no_digit_limit():
         assert len(str(expected)) == 6270
         if fmt == "json":

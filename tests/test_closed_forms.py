@@ -1,10 +1,13 @@
 import pytest
 
+from froblab import cli, closed_forms, route, tables
 from froblab.apery import p_frobenius, p_sylvester
 from froblab.closed_forms import (
     NotCoveredError,
     _gp_general,
     _np_general,
+    closed_g,
+    closed_n,
     discriminant,
     gp_fib,
     gp_fib_two_gen,
@@ -43,16 +46,57 @@ def test_params_lucas_smallest():
     assert (pr.r, pr.ell) == (1, 1)
 
 
+@pytest.fixture
+def params_calls(monkeypatch):
+    """Every params call, under each name a module looks it up by."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return params(*args, **kwargs)
+
+    for module in (closed_forms, cli, route, tables):
+        monkeypatch.setattr(module, "params", counted, raising=False)
+    return calls
+
+
+# A triple's params are resolved once, however many levels and quantities
+# read them: 3 triples at 5 levels and both quantities are 3 calls.
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: run_sweep(SweepSpec(("fib",), 6, 6, (None, 3), (None, 5), 0, 4, ("g", "n"))), 3),
+        (lambda: cli.run(["compute", "--kind", "fib", "--i", "6", "--k", "4", "--p", "2"]), 1),
+        (lambda: tables.build_table("fib", 6, 4, 2), 1),
+    ],
+    ids=["run_sweep", "compute", "build_table"],
+)
+def test_params_runs_once_per_triple(params_calls, capsys, call, want):
+    call()
+    assert len(params_calls) == want
+
+
 @pytest.mark.parametrize("i,k", [(2, 4), (3, 2), (0, 3), (3, -1)])
 def test_params_domain_errors(i, k):
     with pytest.raises(ValueError):
         params("fib", i, k)
 
 
+FIB, LUCAS = params("fib", 6, 4), params("lucas", 5, 4)
+
+
+# every closed form refuses a negative level at its own entry
 @pytest.mark.parametrize(
     "fn, args, message",
     [
-        (params, ("fib", 5, 4, -1), "p must be >= 0"),
+        (gp_fib, (FIB, -1), "p must be >= 0"),
+        (np_fib, (FIB, -1), "p must be >= 0"),
+        (gp_lucas, (LUCAS, -1), "p must be >= 0"),
+        (np_lucas, (LUCAS, -1), "p must be >= 0"),
+        (closed_g, (FIB, -1), "p must be >= 0"),
+        (closed_n, (LUCAS, -1), "p must be >= 0"),
+        (_gp_general, (FIB, -1, "T"), "p must be >= 0"),
+        (_np_general, (FIB, -1, "T"), "p must be >= 0"),
         (gp_fib_two_gen, (2, 0), "i must be >= 3"),
         (gp_fib_two_gen, (3, -1), "p must be >= 0"),
     ],
@@ -62,11 +106,20 @@ def test_level_and_index_domain_errors(fn, args, message):
         fn(*args)
 
 
+@pytest.mark.parametrize(
+    "fn, pr",
+    [(gp_fib, LUCAS), (np_fib, LUCAS), (gp_lucas, FIB), (np_lucas, FIB)],
+)
+def test_family_dispatchers_refuse_the_other_family(fn, pr):
+    with pytest.raises(ValueError, match=f"given a {pr.kind.value} triple"):
+        fn(pr, 2)
+
+
 @pytest.mark.parametrize("general", [_gp_general, _np_general])
 def test_general_formulas_refuse_r_below_p(general):
-    pr = params("fib", 6, 4, 2)._replace(p=3)  # r = 2
+    pr = params("fib", 6, 4)  # r = 2
     with pytest.raises(AssertionError):
-        general(pr, "T")
+        general(pr, 3, "T")
 
 
 # ------------------------------------------------------------ two-gen + Prop
@@ -91,14 +144,14 @@ def test_proposition_thresholds():
 def test_pair_reduction_matches_p3_tail_branch():
     for i in range(3, 11):
         for k in range(i + 3, i + 7):
-            assert gp_fib(i, k, 3).value == gp_fib_two_gen(i, 3)
+            assert gp_fib(params("fib", i, k), 3).value == gp_fib_two_gen(i, 3)
 
 
 def test_pair_reduction_covers_large_p_tails():
-    res = gp_fib(5, 5 + 4, 4)  # p=4 threshold is h=4
+    res = gp_fib(params("fib", 5, 5 + 4), 4)  # p=4 threshold is h=4
     assert res.covered and res.tag.theorem == "Prop"
     assert res.value == gp_fib_two_gen(5, 4)
-    assert not gp_fib(5, 5 + 3, 4).covered  # below threshold, r < p: a gap
+    assert not gp_fib(params("fib", 5, 5 + 3), 4).covered  # below threshold, r < p: a gap
 
 
 def test_pair_reduction_fails_at_i3_p23():
@@ -110,7 +163,7 @@ def test_pair_reduction_fails_at_i3_p23():
     assert denumerant(233, tup) == 24
     assert denumerant(231, tup) == 23
     assert p_frobenius(tup, 23) == p_frobenius_scan(tup, 23) == 231
-    res = gp_fib(3, 10, 23)
+    res = gp_fib(params("fib", 3, 10), 23)
     assert (res.value, str(res.tag)) == (233, "Prop/k>=i+7")
 
 
@@ -125,21 +178,21 @@ def test_exceptional_constants_match_closed_form_and_oracle():
         (gp_lucas, "lucas", 3, 3, 2, 61),
     ]
     for fn, kind, i, k, p, expected in cases:
-        assert fn(i, k, p).value == expected
+        assert fn(params(kind, i, k), p).value == expected
         assert p_frobenius(triple(kind, i, k), p) == expected
 
 
 def test_smallest_lucas_level3_constant_self_consistent():
     # The dedicated (i,k)=(3,3) branch 3*L_5 + 2*L_6 - L_3 evaluates to 65,
     # and the exhaustive oracle returns the same number.
-    res = gp_lucas(3, 3, 3)
+    res = gp_lucas(params("lucas", 3, 3), 3)
     assert res.value == 65
     assert p_frobenius(triple("lucas", 3, 3), 3) == 65
 
 
 def test_lucas_level1_tail_value():
     # i=5, any k >= i+4: (2*L_5 - 1)*L_7 - L_5 = 21*29 - 11
-    res = gp_lucas(5, 9, 1)
+    res = gp_lucas(params("lucas", 5, 9), 1)
     assert res.value == 598
     assert p_frobenius(triple("lucas", 5, 9), 1) == 598
 
@@ -149,64 +202,64 @@ def test_lucas_level1_tail_value():
 def test_level1_remark_formulas_agree_with_dispatch():
     for i in range(4, 13):
         want = (fib(i - 2) - 1) * fib(i + 2) + 2 * fib(2 * i - 1) - fib(i)
-        assert gp_fib(i, i - 1, 1).value == want
+        assert gp_fib(params("fib", i, i - 1), 1).value == want
     for i in range(5, 13):
         want = (fib(i - 3) - 1) * fib(i + 2) + 3 * fib(2 * i - 2) - fib(i)
-        assert gp_fib(i, i - 2, 1).value == want
+        assert gp_fib(params("fib", i, i - 2), 1).value == want
     for i in range(7, 13):
         want = (fib(i - 6) - 1) * fib(i + 2) + 5 * fib(2 * i - 3) - fib(i)
-        assert gp_fib(i, i - 3, 1).value == want
-    assert gp_fib(6, 3, 1).value == fib(8) + 4 * fib(9) - fib(6) == 149
+        assert gp_fib(params("fib", i, i - 3), 1).value == want
+    assert gp_fib(params("fib", 6, 3), 1).value == fib(8) + 4 * fib(9) - fib(6) == 149
     for i in range(7, 13):
         want = (fib(i - 5) + fib(i - 7) - 1) * fib(i + 2) + 7 * fib(2 * i - 4) - fib(i)
-        assert gp_fib(i, i - 4, 1).value == want
+        assert gp_fib(params("fib", i, i - 4), 1).value == want
     for i in range(10, 14):
         want = (fib(i - 5) - 1) * fib(i + 2) + 11 * fib(2 * i - 5) - fib(i)
-        assert gp_fib(i, i - 5, 1).value == want
-    assert gp_fib(9, 4, 1).value == 12 * fib(13) - fib(9)
-    assert gp_fib(8, 3, 1).value == 11 * fib(11) - fib(8)
+        assert gp_fib(params("fib", i, i - 5), 1).value == want
+    assert gp_fib(params("fib", 9, 4), 1).value == 12 * fib(13) - fib(9)
+    assert gp_fib(params("fib", 8, 3), 1).value == 11 * fib(11) - fib(8)
 
 
 def test_level2_remark_formulas_hold_at_their_r():
     for i in range(5, 13):
-        pr = params("fib", i, i - 2, 2)
+        pr = params("fib", i, i - 2)
         assert pr.r == 2  # the remark formula is stated for r = 2
         want = (fib(i - 3) - 1) * fib(i + 2) + 4 * fib(2 * i - 2) - fib(i)
-        assert gp_fib(i, i - 2, 2).value == want
+        assert gp_fib(pr, 2).value == want
     for i in range(7, 13):
-        pr = params("fib", i, i - 3, 2)
+        pr = params("fib", i, i - 3)
         assert pr.r == 4  # and this one for r = 4
         want = (fib(i - 6) - 1) * fib(i + 2) + 6 * fib(2 * i - 3) - fib(i)
-        assert gp_fib(i, i - 3, 2).value == want
+        assert gp_fib(pr, 2).value == want
 
 
 # ----------------------------------------------------------- worked example
 
 def test_worked_example_closed_forms():
-    assert gp_fib(6, 4, 1).value == 178
-    assert gp_fib(6, 4, 2).value == 233
-    assert gp_fib(6, 4, 3).value == 267
-    assert np_fib(6, 4, 1).value == 123
-    assert np_fib(6, 4, 2).value == 180
-    assert np_fib(6, 4, 3).value == 219
+    assert gp_fib(params("fib", 6, 4), 1).value == 178
+    assert gp_fib(params("fib", 6, 4), 2).value == 233
+    assert gp_fib(params("fib", 6, 4), 3).value == 267
+    assert np_fib(params("fib", 6, 4), 1).value == 123
+    assert np_fib(params("fib", 6, 4), 2).value == 180
+    assert np_fib(params("fib", 6, 4), 3).value == 219
 
 
 def test_case_tags_identify_branches():
-    tag = gp_fib(6, 4, 2).tag
+    tag = gp_fib(params("fib", 6, 4), 2).tag
     assert tag.theorem == "Thm3"
     assert str(tag) == "Thm3/general"
-    assert gp_fib(10, 13, 2).tag.branch == "k>=i+3"
-    assert gp_lucas(4, 4, 0).tag.theorem == "Thm1"
-    assert np_fib(6, 9, 1).tag.theorem == "N1"
+    assert gp_fib(params("fib", 10, 13), 2).tag.branch == "k>=i+3"
+    assert gp_lucas(params("lucas", 4, 4), 0).tag.theorem == "Thm1"
+    assert np_fib(params("fib", 6, 9), 1).tag.theorem == "N1"
 
 
 def test_verbatim_flags_sit_exactly_where_intended():
-    assert np_fib(6, 5, 2).tag.verbatim  # N2 at k=i-1
-    assert np_fib(5, 7, 3).tag.verbatim  # N3 at k=i+2
-    assert np_fib(5, 6, 3).tag.verbatim  # N3 at k=i+1
-    assert not np_fib(5, 5, 3).tag.verbatim
-    assert not gp_fib(6, 4, 2).tag.verbatim
-    assert gp_fib(3, 10, 23).tag.verbatim  # Prop, which fails at this point
+    assert np_fib(params("fib", 6, 5), 2).tag.verbatim  # N2 at k=i-1
+    assert np_fib(params("fib", 5, 7), 3).tag.verbatim  # N3 at k=i+2
+    assert np_fib(params("fib", 5, 6), 3).tag.verbatim  # N3 at k=i+1
+    assert not np_fib(params("fib", 5, 5), 3).tag.verbatim
+    assert not gp_fib(params("fib", 6, 4), 2).tag.verbatim
+    assert gp_fib(params("fib", 3, 10), 23).tag.verbatim  # Prop, which fails at this point
 
 
 # ------------------------------------------------------------- the big sweep
@@ -237,13 +290,13 @@ def test_branch_totality_for_low_levels():
     for i in range(3, 41):
         for k in range(3, i + 6):
             for p in (1, 2, 3):
-                assert gp_fib(i, k, p).covered
-                assert np_fib(i, k, p).covered
-            assert gp_fib(i, k, 0).covered == (params("fib", i, k).r >= 1)
+                assert gp_fib(params("fib", i, k), p).covered
+                assert np_fib(params("fib", i, k), p).covered
+            assert gp_fib(params("fib", i, k), 0).covered == (params("fib", i, k).r >= 1)
     for i in range(3, 41):
         for k in range(3, i + 6):
             for p in (0, 1, 2, 3):
-                assert gp_lucas(i, k, p).covered
+                assert gp_lucas(params("lucas", i, k), p).covered
 
 
 def test_discriminant_equality_cases_match_oracle():
@@ -254,12 +307,12 @@ def test_discriminant_equality_cases_match_oracle():
     for i in range(3, 9):
         for k in range(3, i + 6):
             for p in range(0, 4):
-                pr = params("fib", i, k, p)
+                pr = params("fib", i, k)
                 d = discriminant(pr)
                 if d.lhs != d.rhs:
                     continue
                 found += 1
-                res = gp_fib(i, k, p)
+                res = gp_fib(pr, p)
                 if res.covered:
                     assert res.value == p_frobenius(triple("fib", i, k), p)
     assert found > 0  # the check has teeth in this range
@@ -268,20 +321,20 @@ def test_discriminant_equality_cases_match_oracle():
 # ------------------------------------------------------------ n_p specifics
 
 def test_np_general_covers_level_zero():
-    res = np_fib(5, 3, 0)
+    res = np_fib(params("fib", 5, 3), 0)
     assert res.covered and res.tag.theorem == "Np"
     assert res.value == p_sylvester(triple("fib", 5, 3), 0)
 
 
 def test_np_lucas_never_covered():
     for i, k, p in [(3, 3, 0), (5, 7, 2), (4, 9, 1)]:
-        res = np_lucas(i, k, p)
+        res = np_lucas(params("lucas", i, k), p)
         assert not res.covered
         assert res.value is None
 
 
 def test_fib_p0_r0_corner_not_covered():
-    res = gp_fib(3, 3, 0)  # r = 0 at level 0: excluded corner
+    res = gp_fib(params("fib", 3, 3), 0)  # r = 0 at level 0: excluded corner
     assert not res.covered
 
 
@@ -319,7 +372,7 @@ def test_compute_rejects_unknown_method():
 
 def test_compute_takes_a_closed_form_only_for_a_family_triple():
     tup = triple("fib", 6, 4)
-    assert compute("g", tup, 2, family=("fib", 6, 4)) == compute_g("fib", 6, 4, 2)
+    assert compute("g", params("fib", 6, 4), 2) == compute_g("fib", 6, 4, 2)
     assert compute("g", tup, 2) == (233, "oracle", None)
     with pytest.raises(NotCoveredError, match="only for --kind triples"):
         compute("n", tup, 2, method="closed")
@@ -327,6 +380,3 @@ def test_compute_takes_a_closed_form_only_for_a_family_triple():
         compute("g", (1, 3), 0, method="closed")
     with pytest.raises(ValueError, match="quantity"):
         compute("h", tup, 2)
-    # the closed form of (8, 21, 55) would answer 233; the walk of (3, 5, 7) gives 16
-    with pytest.raises(ValueError, match=r"\(8, 21, 55\), not \(3, 5, 7\)"):
-        compute("g", (3, 5, 7), 2, "auto", ("fib", 6, 4))

@@ -138,3 +138,25 @@ def test_routes_import_none_of_each_other():
     both = {name for name, deps in graph.items() if {"apery", "closed_forms"} <= deps}
     assert both == {"__init__", "route", "cli", "tables"}
     assert "denumerant" not in _reach(graph, "cli") | _reach(graph, "tables")
+
+
+
+def _triple_params_calls(node) -> list:
+    """Calls of ``TripleParams(...)`` or of a method on the class, e.g. ``TripleParams._make``."""
+    return [
+        call for call in ast.walk(node)
+        if isinstance(call, ast.Call) and "TripleParams" in (
+            getattr(call.func, "id", None), getattr(getattr(call.func, "value", None), "id", None)
+        )
+    ]
+
+
+def test_only_params_constructs_triple_params():
+    calls, in_params = [], []
+    for path in Path(froblab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += _triple_params_calls(tree)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) == ("closed_forms", "params"):
+                in_params += _triple_params_calls(fn)
+    assert len(calls) == len(in_params) == 1

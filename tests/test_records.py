@@ -19,7 +19,7 @@ from froblab import (
 from froblab.cli import Row, SweepSpec, VerifyReport
 
 GENS = GeneratorTuple.of(8, 21, 55)
-PARAMS = params("fib", 6, 4, 2)
+PARAMS = params("fib", 6, 4)
 TAG = CaseTag("Thm3", "general")
 
 # (class, positional arguments, field names in today's order)
@@ -27,8 +27,8 @@ RECORDS = [
     (AperySet, (GENS, 0, (0, 21)), ("gens", "p", "elements")),
     (
         TripleParams,
-        (SequenceKind.FIBONACCI, 6, 4, 2, 8, 21, 55, 2, 1),
-        ("kind", "i", "k", "p", "x_i", "x_i2", "x_ik", "r", "ell"),
+        (SequenceKind.FIBONACCI, 6, 4, 8, 21, 55, 2, 1),
+        ("kind", "i", "k", "x_i", "x_i2", "x_ik", "r", "ell"),
     ),
     (CaseTag, ("Thm2", "k=i", True), ("theorem", "branch", "verbatim")),
     (FormulaResult, (233, TAG), ("value", "tag")),

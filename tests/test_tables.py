@@ -97,7 +97,7 @@ def test_shift_congruence_over_grid(worked_example):
 def test_level_one_staircase_shape():
     # r full rows of width fib(k), then a partial row of ell+1 cells
     for kind, i, k in [("fib", 6, 4), ("fib", 7, 3), ("lucas", 4, 3)]:
-        pr = params(kind, i, k, 0)
+        pr = params(kind, i, k)
         assert pr.r >= 1
         table = build_table(kind, i, k, 0)
         level1 = {(c.x, c.y) for c in table.cells if c.level == 1}
@@ -114,9 +114,9 @@ def test_level_zero_count_is_a1():
 
 
 def test_grid_stays_inside_theoretical_bounds(worked_example):
-    pr = worked_example.params
-    assert worked_example.width <= (pr.p + 2) * fib(pr.k)
-    assert worked_example.height <= pr.r + pr.p + 3
+    pr, p_max = worked_example.params, len(worked_example.levels) - 1
+    assert worked_example.width <= (p_max + 2) * fib(pr.k)
+    assert worked_example.height <= pr.r + p_max + 3
 
 
 def test_duplicate_value_goes_to_smallest_row_then_column():
@@ -146,7 +146,7 @@ def test_least_cell_matches_linear_search(a2, a3):
 
 
 def test_empty_table_renders_header_only():
-    pr = params("fib", 6, 4, 0)
+    pr = params("fib", 6, 4)
     empty = ResidueTable(pr, triple("fib", 6, 4), (), (), ())
     out = render_ascii(empty, "value")
     assert out == "t(x,y) = 21*x + 55*y  [mod 8]  levels=0 mode=value\n"
@@ -243,7 +243,7 @@ def _stdlib_json(table):
         "kind": pr.kind.value,
         "i": pr.i,
         "k": pr.k,
-        "p_max": pr.p,
+        "p_max": len(table.levels) - 1,
         "generators": list(table.gens.gens),
         "r": pr.r,
         "ell": pr.ell,
@@ -271,7 +271,7 @@ def test_export_json_matches_the_stdlib_encoder():
 
 def test_export_json_of_empty_lists_and_huge_values():
     # no levels and no cells give "[]", and an int of any size is written exactly
-    pr = params("fib", 6, 4, 0)
+    pr = params("fib", 6, 4)
     empty = ResidueTable(pr, triple("fib", 6, 4), (), (), ())
     assert export_json(empty) == _stdlib_json(empty)
     big = 10**80 + 7
