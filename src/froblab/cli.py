@@ -34,6 +34,7 @@ from .closed_forms import (
     CaseTag,
     FormulaResult,
     NotCoveredError,
+    TripleParams,
     closed_g,
     closed_n,
     gp_fib_two_gen,
@@ -42,7 +43,7 @@ from .closed_forms import (
 )
 from .generators import DegenerateTupleError, GeneratorTuple, TupleValidationError
 from .route import compute
-from .sequences import SequenceKind, _check_index, seq
+from .sequences import _check_index, seq
 from .tables import Cell, build_table, export_json, render_ascii
 
 __all__ = ["main", "run", "SweepSpec", "VerifyReport", "run_sweep", "run_proposition"]
@@ -120,20 +121,19 @@ class Row(NamedTuple):
     verbatim: bool
 
 
-def _sweep_point(kind: str, i: int, k: int, levels: Sequence[int], quantities: tuple[str, ...],
-                 closed: Optional[Mapping[int, FormulaResult]] = None) -> list[Row]:
+def _sweep_point(pr: TripleParams, levels: Sequence[int],
+                 forms: Mapping[str, Callable[[TripleParams, int], FormulaResult]]) -> list[Row]:
     """Rows for one triple at every level of ``levels`` (ascending), from one oracle call,
-    checked against ``closed[p]`` when given and each quantity's dispatcher otherwise."""
-    pr = params(kind, i, k)  # the same at every level
+    each quantity of ``forms`` checked against its closed form ``forms[qty](pr, p)``."""
     asets = apery_levels(pr.gens, levels[-1])
     rows = []
     for p in levels:
-        for qty in quantities:
-            res = closed[p] if closed else (closed_g if qty == "g" else closed_n)(pr, p)
+        for qty, form in forms.items():
+            res = form(pr, p)
             oracle = asets[p].frobenius() if qty == "g" else asets[p].sylvester()
             match = (res.value == oracle) if res.covered else None
-            tag = res.tag
-            rows.append(Row(kind, i, k, p, pr.r, pr.ell, qty, res.value, oracle, str(tag), match, tag.verbatim))
+            rows.append(Row(pr.kind.value, pr.i, pr.k, p, pr.r, pr.ell, qty, res.value, oracle,
+                            str(res.tag), match, res.tag.verbatim))
     return rows
 
 
@@ -195,14 +195,18 @@ class VerifyReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _check_top(kind: str, i: int, k: int, p_max: int) -> None:
-    """Refuse a grid whose largest triple ``(x_i, x_{i+2}, x_{i+k})`` is over a bound.
+def _check_grid(kinds: Iterable[str], i_lo: int, i: int, k: int, p_max: int) -> None:
+    """Refuse a grid whose least index ``i_lo`` is below 3, or whose largest triple
+    ``(x_i, x_{i+2}, x_{i+k})`` of a kind in ``kinds`` is over a bound.
 
     The index bound is checked on ``i + k`` before any term is computed, and
     the budget charges ``x_i`` alone.
     """
+    if i_lo < 3:
+        raise ValueError(f"i must be >= 3, got {i_lo}")
     _check_index(i + k)
-    _check_budget(seq(kind, i), p_max)
+    for kind in kinds:
+        _check_budget(seq(kind, i), p_max)
 
 
 def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None) -> VerifyReport:
@@ -213,14 +217,14 @@ def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None)
     if levels and spec.p_lo < 0:
         raise ValueError(f"p must be >= 0, got {spec.p_lo}")
     top = spec.largest() if levels else None  # checked before the grid is listed
-    if top and spec.i_lo < 3:
-        raise ValueError(f"i must be >= 3, got {spec.i_lo}")
-    for kind in spec.kinds if top else ():
-        _check_top(kind, *top, spec.p_hi)
+    if top:
+        _check_grid(spec.kinds, spec.i_lo, *top, spec.p_hi)
     triples = spec.triples() if top else []
+    # looked up per call, so that bench/trace_child.py's wrappers by name see each one
+    forms = {qty: closed_g if qty == "g" else closed_n for qty in spec.quantities}
     rows: list[Row] = []
     for idx, (kind, i, k) in enumerate(triples):
-        rows.extend(_sweep_point(kind, i, k, levels, spec.quantities))
+        rows.extend(_sweep_point(params(kind, i, k), levels, forms))
         if progress and (idx + 1) % 10 == 0:
             progress(f"{idx + 1}/{len(triples)} triples")
     return VerifyReport(rows)
@@ -238,20 +242,20 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
         raise ValueError(f"p must be >= 0, got {p_lo}")
     thresholds = {p: h for p in levels if (h := proposition_h(p)) is not None}
     if thresholds and i_values:  # the least and the largest triple, before any walk
-        if min(i_values) < 3:
-            raise ValueError(f"i must be >= 3, got {min(i_values)}")
         i_top = max(i_values)
-        _check_top("fib", i_top, i_top + max(thresholds.values()) + 1, max(thresholds))
+        _check_grid(("fib",), min(i_values), i_top, i_top + max(thresholds.values()) + 1, max(thresholds))
     checked_at: dict[tuple[int, int], list[int]] = {}  # (i, k) -> its levels, ascending
     for p, h in thresholds.items():
         for i in i_values:
             for k in (i + h, i + h + 1):
                 checked_at.setdefault((i, k), []).append(p)
+
+    def pair(pr: TripleParams, p: int) -> FormulaResult:
+        return FormulaResult(gp_fib_two_gen(pr.i, p), CaseTag("Prop", f"k>=i+{thresholds[p]}", True))
+
     rows = []
     for (i, k), ps in checked_at.items():  # one walk per triple, to its highest level
-        pair = {p: FormulaResult(gp_fib_two_gen(i, p), CaseTag("Prop", f"k>=i+{thresholds[p]}", True))
-                for p in ps}
-        rows += _sweep_point("fib", i, k, ps, ("g",), pair)
+        rows += _sweep_point(params("fib", i, k), ps, {"g": pair})
     rows.sort(key=lambda r: (r.p, r.i, r.k))
     return VerifyReport(rows)
 
@@ -407,7 +411,7 @@ def _cmd_verify(args) -> int:
         i_lo, i_hi = _parse_int_span("--i", args.i) if args.i else (3, 5)
         report = run_proposition(p_lo, p_hi, range(i_lo, i_hi + 1))
     else:
-        kinds = ("fib", "lucas") if args.kind == "both" else (SequenceKind.parse(args.kind).value,)
+        kinds = ("fib", "lucas") if args.kind == "both" else (args.kind,)
         quantities = _QUANTITIES if args.what == "both" else (args.what,)
         # a range left out keeps SweepSpec's default
         grid = {"kinds": kinds, "quantities": quantities}
@@ -453,9 +457,8 @@ def _cmd_exact(args) -> int:
 
 def _cmd_seq(args) -> int:
     value = seq(args.kind, args.n)
-    kind = SequenceKind.parse(args.kind).value
-    doc = {"kind": kind, "n": args.n, "value": value}
-    _write(args, doc, ("kind", "n", "value"), [(kind, args.n, value)], f"{value}\n", indent=None)
+    doc = {"kind": args.kind, "n": args.n, "value": value}
+    _write(args, doc, ("kind", "n", "value"), [(args.kind, args.n, value)], f"{value}\n", indent=None)
     return EXIT_OK
 
 
@@ -536,6 +539,8 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
             parser.error("--kind requires --i and --k")
     if args.command in ("compute", "exact") and args.p < 0:
         parser.error("--p must be >= 0")
+    if args.command == "table" and args.pmax < 0:
+        parser.error("--pmax must be >= 0")
     if args.command == "verify" and args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.command == "verify" and args.proposition and (

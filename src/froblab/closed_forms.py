@@ -257,15 +257,8 @@ def gp_fib(pr: TripleParams, p: int) -> FormulaResult:
         return _gp_general(pr, p, "Thm3")  # k <= i-2 forces F_i - 1 >= 2*F_k
 
     if p == 3:
-        if k >= i + 3:
-            res = _hit("Thm4", "k>=i+3", (4 * Fi - 1) * Fi2 - Fi)
-            # The pair-reduction row for p=3 starts at k = i+4; where both
-            # claims apply they must agree, so check instead of choosing.
-            if k >= i + _PROP_H[3] and res.value != gp_fib_two_gen(i, p):
-                raise AssertionError(
-                    f"pair reduction disagrees with the p=3 branch at i={i} k={k}"
-                )
-            return res
+        if k >= i + 3:  # equals gp_fib_two_gen(i, 3), so the Proposition's p=3 row agrees
+            return _hit("Thm4", "k>=i+3", (4 * Fi - 1) * Fi2 - Fi)
         if k == i + 2:
             return _hit("Thm4", "k=i+2", (Fi - 1) * Fi2 + Fik - Fi)
         if k == i + 1:

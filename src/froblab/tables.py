@@ -26,7 +26,6 @@ from typing import NamedTuple, Optional
 
 from .apery import VALUE_BUDGET, AperySet, apery_levels
 from .closed_forms import TripleParams, params
-from .generators import GeneratorTuple
 from .sequences import SequenceKind, fib
 
 __all__ = ["Cell", "ResidueTable", "build_table", "render_ascii", "export_json"]
@@ -54,7 +53,6 @@ class ResidueTable(NamedTuple):
     """
 
     params: TripleParams
-    gens: GeneratorTuple
     levels: tuple[AperySet, ...]
     cells: tuple[Cell, ...]
     row_extents: tuple[int, ...]
@@ -112,7 +110,7 @@ def build_table(kind: "SequenceKind | str", i: int, k: int, p_max: int) -> Resid
         for y, row in enumerate(rows)
         for x in range(width)
     )
-    return ResidueTable(pr, tup, levels, cells, tuple(len(row) - 1 for row in rows))
+    return ResidueTable(pr, levels, cells, tuple(len(row) - 1 for row in rows))
 
 
 def render_ascii(table: ResidueTable, mode: str = "value") -> str:
@@ -127,7 +125,7 @@ def render_ascii(table: ResidueTable, mode: str = "value") -> str:
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     pr = table.params
-    a1, a2, a3 = table.gens.gens
+    a1, a2, a3 = pr.gens.gens
     lines = [
         f"t(x,y) = {a2}*x + {a3}*y  [mod {a1}]  levels={len(table.levels)} mode={mode}"
     ]
@@ -183,7 +181,7 @@ def export_json(table: ResidueTable) -> str:
         for q, aset in enumerate(table.levels)
     ]
     after = _AFTER_CELLS % (
-        pr.ell, _json_list(["    %d" % g for g in table.gens.gens], "  "),
+        pr.ell, _json_list(["    %d" % g for g in pr.gens.gens], "  "),
         pr.i, pr.k, pr.kind.value, _json_list(levels, "  "), len(levels) - 1, pr.r,
     )
     cells = [

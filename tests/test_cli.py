@@ -123,6 +123,12 @@ def test_exit_usage_on_bad_arguments(capsys):
     assert run_cli(capsys, "exact", "--gens", "2,5,7", "--p", "-1")[0] == 2
 
 
+def test_table_refuses_a_negative_pmax_by_its_flag(capsys):
+    code, out, err = run_cli(capsys, "table", "--kind", "fib", "--i", "6", "--k", "4", "--pmax", "-1")
+    assert (code, out) == (2, "")
+    assert "--pmax must be >= 0" in err
+
+
 # each used to answer for another tuple: (55, 821), (8, 55), (7, 25), (8, 21, 55)
 @pytest.mark.parametrize(
     "argv",

@@ -142,7 +142,7 @@ def test_proposition_thresholds():
 
 
 def test_pair_reduction_matches_p3_tail_branch():
-    for i in range(3, 11):
+    for i in range(3, 41):
         for k in range(i + 3, i + 7):
             assert gp_fib(params("fib", i, k), 3).value == gp_fib_two_gen(i, 3)
 

@@ -1,7 +1,16 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from froblab.denumerant import denumerant, denumerant_table, largest_with_exactly_p
+from froblab.apery import p_frobenius, p_sylvester
+from froblab.denumerant import (
+    denumerant,
+    denumerant_table,
+    largest_with_exactly_p,
+    p_frobenius_scan,
+    p_sylvester_scan,
+)
 from froblab.generators import GeneratorTuple, TupleValidationError
 
 
@@ -134,3 +143,27 @@ def test_largest_with_exactly_zero():
 def test_largest_rejects_negative_p():
     with pytest.raises(ValueError):
         largest_with_exactly_p((2, 3), -1)
+
+
+# ------------------------------------------------------ reference route
+
+# (4, 6, 101) starts from the cap (p+1)*4*6, whose top 4 entries are still at
+# or below p, so the table doubles until its tail is certified
+@pytest.mark.parametrize("p, caps, g, n", [(0, [24, 48, 96, 192], 103, 52), (2, [72, 144], 127, 76)])
+def test_scan_doubles_its_table_until_the_tail_is_certified(monkeypatch, p, caps, g, n):
+    module = importlib.import_module("froblab.denumerant")  # froblab.denumerant is also a function
+    real, seen = module._compute_counts, []
+
+    def counted(gens, limit):
+        seen.append(limit)
+        return real(gens, limit)
+
+    monkeypatch.setattr(module, "_compute_counts", counted)
+    assert p_frobenius_scan((4, 6, 101), p) == g == p_frobenius((4, 6, 101), p)
+    assert seen == caps
+    assert p_sylvester_scan((4, 6, 101), p) == n == p_sylvester((4, 6, 101), p)
+
+
+def test_scan_with_a_unit_generator_has_no_gap():
+    assert p_frobenius_scan((1, 2), 0) == -1
+    assert p_sylvester_scan((1, 2), 0) == 0

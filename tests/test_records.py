@@ -38,8 +38,8 @@ RECORDS = [
     (Cell, (1, 0, 21, 5, 1), ("x", "y", "value", "residue", "level")),
     (
         ResidueTable,
-        (PARAMS, GENS, (), (Cell(0, 0, 0, 0, 1),), (0,)),
-        ("params", "gens", "levels", "cells", "row_extents"),
+        (PARAMS, (), (Cell(0, 0, 0, 0, 1),), (0,)),
+        ("params", "levels", "cells", "row_extents"),
     ),
     (
         SweepSpec,

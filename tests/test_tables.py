@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from froblab.closed_forms import params, triple
+from froblab.closed_forms import params
 from froblab.generators import GeneratorTuple
 from froblab.sequences import fib
 from froblab.tables import Cell, ResidueTable, build_table, export_json, render_ascii
@@ -62,7 +62,7 @@ def test_level_annotation_spot_checks(worked_example):
 
 
 def test_per_level_residue_completeness(worked_example):
-    a1 = worked_example.gens.a1
+    a1 = worked_example.params.gens.a1
     for level in range(1, 6):
         cells = [c for c in worked_example.cells if c.level == level]
         assert len(cells) == a1
@@ -147,7 +147,7 @@ def test_least_cell_matches_linear_search(a2, a3):
 
 def test_empty_table_renders_header_only():
     pr = params("fib", 6, 4)
-    empty = ResidueTable(pr, triple("fib", 6, 4), (), (), ())
+    empty = ResidueTable(pr, (), (), ())
     out = render_ascii(empty, "value")
     assert out == "t(x,y) = 21*x + 55*y  [mod 8]  levels=0 mode=value\n"
 
@@ -223,7 +223,7 @@ def test_repeated_values_take_their_decompositions_in_row_order():
     for kind, i, k, p_max in TRIPLE_GRID:
         table = build_table(kind, i, k, p_max)
         got = {(c.x, c.y): c.level for c in table.cells if c.level is not None}
-        want = _first_points_by_value_then_row(*table.gens.gens, p_max)
+        want = _first_points_by_value_then_row(*table.params.gens.gens, p_max)
         assert got == want, (kind, i, k, p_max)
 
 
@@ -244,7 +244,7 @@ def _stdlib_json(table):
         "i": pr.i,
         "k": pr.k,
         "p_max": len(table.levels) - 1,
-        "generators": list(table.gens.gens),
+        "generators": list(table.params.gens.gens),
         "r": pr.r,
         "ell": pr.ell,
         "levels": [
@@ -272,7 +272,7 @@ def test_export_json_matches_the_stdlib_encoder():
 def test_export_json_of_empty_lists_and_huge_values():
     # no levels and no cells give "[]", and an int of any size is written exactly
     pr = params("fib", 6, 4)
-    empty = ResidueTable(pr, triple("fib", 6, 4), (), (), ())
+    empty = ResidueTable(pr, (), (), ())
     assert export_json(empty) == _stdlib_json(empty)
     big = 10**80 + 7
     table = build_table("fib", 3, 3, 0)
