@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import count
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .apery import VALUE_BUDGET, AperySet, apery_levels
 from .closed_forms import TripleParams, params
@@ -46,35 +46,45 @@ class Cell(NamedTuple):
 class ResidueTable(NamedTuple):
     """The annotated grid, trimmed to the bounding box of annotations.
 
-    ``cells`` is row-major (y outer, x inner) over the bounding box, and
-    the largest level is ``p_max = len(levels) - 1``.
-    ``row_extents[y]`` is the largest annotated ``x`` in row ``y`` (every
-    row inside the box has at least one annotation; rendering stops there).
+    ``rows[y]`` holds the levels of row ``y``'s annotated cells from ``x = 0``
+    (every row inside the box has at least one; rendering stops there), and
+    the largest level is ``p_max = len(levels) - 1``.  A cell's value and
+    residue follow from ``params``, so no cell is stored.
     """
 
     params: TripleParams
     levels: tuple[AperySet, ...]
-    cells: tuple[Cell, ...]
-    row_extents: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def height(self) -> int:
-        return len(self.row_extents)
+        return len(self.rows)
 
     @property
     def width(self) -> int:
-        return self.row_extents[0] + 1 if self.row_extents else 0  # rows only shrink
+        return len(self.rows[0]) if self.rows else 0  # rows only shrink
 
     def cell(self, x: int, y: int) -> Cell:
         if not (0 <= y < self.height and 0 <= x < self.width):
             raise IndexError(f"({x}, {y}) outside table {self.width}x{self.height}")
-        return self.cells[y * self.width + x]
+        pr, row = self.params, self.rows[y]
+        v = x * pr.x_i2 + y * pr.x_ik
+        return Cell(x, y, v, v % pr.x_i, row[x] if x < len(row) else None)
+
+    @property
+    def cells(self) -> Iterator[Cell]:
+        """The box's cells row-major (y outer, x inner), built as they are read."""
+        a1, a2, a3, width = self.params.x_i, self.params.x_i2, self.params.x_ik, self.width
+        for y, row in enumerate(self.rows):
+            for x in range(width):
+                v = x * a2 + y * a3
+                yield Cell(x, y, v, v % a1, row[x] if x < len(row) else None)
 
 
 def build_table(kind: "SequenceKind | str", i: int, k: int, p_max: int) -> ResidueTable:
     """Grid for the triple with annotation levels ``1 .. p_max + 1``.
 
-    Refuses a box of more than ``VALUE_BUDGET`` cells before building any.
+    Refuses a box of more than ``VALUE_BUDGET`` cells.
     """
     pr = params(kind, i, k)
     tup = pr.gens
@@ -105,12 +115,7 @@ def build_table(kind: "SequenceKind | str", i: int, k: int, p_max: int) -> Resid
     width, height = len(rows[0]), len(rows)
     if width * height > VALUE_BUDGET:
         raise ValueError(f"table box {width}x{height} is over the budget of {VALUE_BUDGET} cells")
-    cells = tuple(
-        Cell(x, y, x * a2 + y * a3, (x * a2 + y * a3) % a1, row[x] if x < len(row) else None)
-        for y, row in enumerate(rows)
-        for x in range(width)
-    )
-    return ResidueTable(pr, levels, cells, tuple(len(row) - 1 for row in rows))
+    return ResidueTable(pr, levels, tuple(map(tuple, rows)))
 
 
 def render_ascii(table: ResidueTable, mode: str = "value") -> str:
@@ -119,27 +124,22 @@ def render_ascii(table: ResidueTable, mode: str = "value") -> str:
     One line per row (up to that row's last annotation), cells separated
     by single spaces and grouped into blocks of ``fib(k)`` columns joined
     by `` | ``.  ``mode`` selects what each cell shows: its value, its
-    residue mod ``x_i``, or its annotation level (``.`` when none).
+    residue mod ``x_i``, or its annotation level.
     A table with no levels renders as the header line alone.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     pr = table.params
-    a1, a2, a3 = pr.gens.gens
+    a1, a2, a3 = pr.x_i, pr.x_i2, pr.x_ik
     lines = [
         f"t(x,y) = {a2}*x + {a3}*y  [mod {a1}]  levels={len(table.levels)} mode={mode}"
     ]
     block = fib(pr.k)
-    for y, extent in enumerate(table.row_extents):
-        tokens = []
-        for x in range(extent + 1):
-            cell = table.cell(x, y)
-            if mode == "value":
-                tokens.append(str(cell.value))
-            elif mode == "residue":
-                tokens.append(str(cell.residue))
-            else:
-                tokens.append(str(cell.level) if cell.level is not None else ".")
+    for y, row in enumerate(table.rows):
+        shown = row if mode == "level" else [x * a2 + y * a3 for x in range(len(row))]
+        if mode == "residue":
+            shown = [v % a1 for v in shown]
+        tokens = list(map(str, shown))
         groups = [tokens[b : b + block] for b in range(0, len(tokens), block)]
         lines.append(" | ".join(" ".join(g) for g in groups))
     return "\n".join(lines) + "\n"

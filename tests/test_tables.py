@@ -7,7 +7,7 @@ import pytest
 from froblab.closed_forms import params
 from froblab.generators import GeneratorTuple
 from froblab.sequences import fib
-from froblab.tables import Cell, ResidueTable, build_table, export_json, render_ascii
+from froblab.tables import ResidueTable, build_table, export_json, render_ascii
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -147,7 +147,7 @@ def test_least_cell_matches_linear_search(a2, a3):
 
 def test_empty_table_renders_header_only():
     pr = params("fib", 6, 4)
-    empty = ResidueTable(pr, (), (), ())
+    empty = ResidueTable(pr, (), ())
     out = render_ascii(empty, "value")
     assert out == "t(x,y) = 21*x + 55*y  [mod 8]  levels=0 mode=value\n"
 
@@ -231,9 +231,26 @@ def test_rows_never_grow():
     # the staircase that lets the box width be read off the first row
     for kind, i, k, p_max in TRIPLE_GRID:
         table = build_table(kind, i, k, p_max)
-        extents = list(table.row_extents)
-        assert extents == sorted(extents, reverse=True), (kind, i, k, p_max)
-        assert table.width * table.height == len(table.cells)
+        lengths = [len(row) for row in table.rows]
+        assert lengths == sorted(lengths, reverse=True), (kind, i, k, p_max)
+        assert table.width * table.height == sum(1 for _ in table.cells)
+
+
+def test_cells_and_cell_and_rows_agree():
+    # the views derived from rows: cells as read, cell(x, y), and the level rendering
+    for kind, i, k, p_max in TRIPLE_GRID:
+        table = build_table(kind, i, k, p_max)
+        w, h = table.width, table.height
+        cells = list(table.cells)
+        assert cells == [table.cell(x, y) for y in range(h) for x in range(w)], (kind, i, k, p_max)
+        assert list(table.cells) == cells
+        block = fib(k)
+        want = [
+            " | ".join(" ".join(map(str, row[b : b + block])) for b in range(0, len(row), block))
+            for row in table.rows
+        ]
+        lines = render_ascii(table, "level").splitlines()
+        assert lines[1:] == want and "." not in "".join(lines[1:]), (kind, i, k, p_max)
 
 
 def _stdlib_json(table):
@@ -272,9 +289,10 @@ def test_export_json_matches_the_stdlib_encoder():
 def test_export_json_of_empty_lists_and_huge_values():
     # no levels and no cells give "[]", and an int of any size is written exactly
     pr = params("fib", 6, 4)
-    empty = ResidueTable(pr, (), (), ())
+    empty = ResidueTable(pr, (), ())
     assert export_json(empty) == _stdlib_json(empty)
     big = 10**80 + 7
     table = build_table("fib", 3, 3, 0)
-    huge = table._replace(cells=(Cell(0, 0, big, big % 2, None), Cell(1, 0, -big, 1, 1)))
+    huge = table._replace(params=table.params._replace(x_i2=big, x_ik=big + 1))
+    assert [(c.value, c.residue) for c in huge.cells] == [(0, 0), (big, 1)]
     assert export_json(huge) == _stdlib_json(huge)
