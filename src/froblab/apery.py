@@ -54,14 +54,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .generators import DegenerateTupleError, GeneratorTuple
 
-__all__ = [
-    "VALUE_BUDGET",
-    "AperySet",
-    "apery_set",
-    "apery_levels",
-    "p_frobenius",
-    "p_sylvester",
-]
+__all__ = ["VALUE_BUDGET", "AperySet", "apery_levels"]
 
 
 # The most one residue walk may hold, counted as (a_1 + _LEVEL_CHARGE)*(p_max + 2):
@@ -231,24 +224,3 @@ def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[Ap
         AperySet(tup, p, elements)
         for p, elements in enumerate(_apery_elements(tup.gens, p_max))
     )
-
-
-def apery_set(gens: "GeneratorTuple | Iterable[int]", p: int) -> AperySet:
-    """Level-``p`` Apery set of ``gens``.
-
-    Raises :class:`DegenerateTupleError` when the smallest generator is 1
-    (a single residue class, and ``frobenius`` would be meaningless).
-    """
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
-    return apery_levels(gens, p)[p]
-
-
-def p_frobenius(gens: "GeneratorTuple | Iterable[int]", p: int) -> int:
-    """Largest integer with at most ``p`` representations (Apery route)."""
-    return apery_set(gens, p).frobenius()
-
-
-def p_sylvester(gens: "GeneratorTuple | Iterable[int]", p: int) -> int:
-    """Count of integers with at most ``p`` representations (Apery route)."""
-    return apery_set(gens, p).sylvester()

@@ -35,7 +35,6 @@ __all__ = [
     "FormulaResult",
     "BranchDiscriminant",
     "params",
-    "triple",
     "discriminant",
     "gp_fib",
     "gp_lucas",
@@ -85,11 +84,6 @@ def params(kind: "SequenceKind | str", i: int, k: int) -> TripleParams:
     x_i, x_i2, x_ik = seq(kind, i), seq(kind, i + 2), seq(kind, i + k)
     r, ell = divmod(x_i - 1, fib(k))
     return TripleParams(kind, i, k, x_i, x_i2, x_ik, r, ell)
-
-
-def triple(kind: "SequenceKind | str", i: int, k: int) -> GeneratorTuple:
-    """The generator tuple ``(x_i, x_{i+2}, x_{i+k})``, with the checks of :func:`params`."""
-    return params(kind, i, k).gens
 
 
 def _check(pr: TripleParams, p: int, kind: Optional[SequenceKind] = None) -> None:

@@ -52,10 +52,6 @@ class GeneratorTuple(tuple):
             )
         return super().__new__(cls, items)
 
-    @classmethod
-    def of(cls, *gens: int) -> "GeneratorTuple":
-        return cls(gens)
-
     @property
     def gens(self) -> tuple[int, ...]:
         """The generators as a plain ``tuple``, ascending."""

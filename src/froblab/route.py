@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .apery import apery_set
-from .closed_forms import CaseTag, NotCoveredError, TripleParams, closed_g, closed_n, params
+from .apery import apery_levels
+from .closed_forms import CaseTag, NotCoveredError, TripleParams, closed_g, closed_n
 from .generators import DegenerateTupleError, GeneratorTuple
-from .sequences import SequenceKind
 
-__all__ = ["Computation", "compute", "compute_g", "compute_n"]
+__all__ = ["Computation", "compute"]
 
 
 class Computation(NamedTuple):
@@ -43,13 +42,16 @@ def compute(
     ``source`` is a family triple's :class:`~froblab.closed_forms.TripleParams`,
     or a tuple given by its generators, which no closed form covers.  Raises
     :class:`NotCoveredError` under ``method="closed"`` where no branch covers
-    the point, and :class:`DegenerateTupleError` under every method when the
-    smallest generator is 1.
+    the point, :class:`DegenerateTupleError` under every method when the
+    smallest generator is 1, and ``ValueError`` under every method when
+    ``p < 0``.
     """
     if quantity not in _QUANTITIES:
         raise ValueError(f"quantity must be one of {_QUANTITIES}, got {quantity!r}")
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p}")
     pr = source if isinstance(source, TripleParams) else None
     tup = GeneratorTuple(source) if pr is None else pr.gens
     # Before the closed-form refusal, so that a degenerate tuple says so.
@@ -65,19 +67,5 @@ def compute(
             reason = res.tag.branch
         if method == "closed":
             raise NotCoveredError(reason)
-    aset = apery_set(tup, p)
+    aset = apery_levels(tup, p)[p]
     return Computation(aset.frobenius() if quantity == "g" else aset.sylvester(), "oracle", None)
-
-
-def compute_g(
-    kind: "SequenceKind | str", i: int, k: int, p: int, method: str = "auto"
-) -> Computation:
-    """Largest value for the triple; closed form when possible under ``auto``."""
-    return compute("g", params(kind, i, k), p, method)
-
-
-def compute_n(
-    kind: "SequenceKind | str", i: int, k: int, p: int, method: str = "auto"
-) -> Computation:
-    """Count of low-representation integers for the triple."""
-    return compute("n", params(kind, i, k), p, method)

@@ -21,16 +21,16 @@ from pathlib import Path
 
 import pytest
 
-from froblab.apery import _apery_elements, apery_set, p_frobenius, p_sylvester
+from froblab.apery import _apery_elements, apery_levels
 from froblab.cli import SweepSpec, run_proposition, run_sweep
-from froblab.closed_forms import closed_n, gp_fib, gp_lucas, params, triple
+from froblab.closed_forms import closed_n, gp_fib, gp_lucas, params
 from froblab.denumerant import largest_with_exactly_p
 from froblab.generators import GeneratorTuple
 from froblab.sequences import fib, lucas
 from froblab.tables import build_table, render_ascii
 
 FIXTURES = Path(__file__).parent / "fixtures"
-WORKED = GeneratorTuple.of(8, 21, 55)
+WORKED = GeneratorTuple((8, 21, 55))
 
 
 @pytest.fixture(autouse=True)
@@ -41,7 +41,7 @@ def cold_caches():
 
 def test_criterion_01_worked_example_frobenius_vector():
     t0 = time.monotonic()
-    got = tuple(p_frobenius(WORKED, p) for p in range(5))
+    got = tuple(aset.frobenius() for aset in apery_levels(WORKED, 4))
     wall = time.monotonic() - t0
     assert got == (123, 178, 233, 267, 288)
     assert wall < 1.0, f"took {wall:.3f}s"
@@ -50,7 +50,7 @@ def test_criterion_01_worked_example_frobenius_vector():
 
 def test_criterion_02_worked_example_sylvester_vector():
     t0 = time.monotonic()
-    got = tuple(p_sylvester(WORKED, p) for p in range(5))
+    got = tuple(aset.sylvester() for aset in apery_levels(WORKED, 4))
     wall = time.monotonic() - t0
     assert got == (63, 123, 180, 219, 242)
     assert wall < 1.0, f"took {wall:.3f}s"
@@ -65,8 +65,9 @@ def test_criterion_03_worked_example_apery_sets():
         3: {168, 181, 202, 215, 228, 249, 262, 275},
         4: {189, 210, 223, 236, 257, 270, 283, 296},
     }
+    levels = apery_levels(WORKED, 4)
     for p, want in expected.items():
-        got = set(apery_set(WORKED, p).elements)
+        got = set(levels[p].elements)
         assert got == want, f"p={p}: {sorted(got)} != {sorted(want)}"
     print("criterion 3: PASS — all five level sets of (8,21,55) reproduced")
 
@@ -94,7 +95,7 @@ def test_criterion_04_pinned_exceptional_constants():
         ("lucas", 3, 3, 3, 65),
     ]
     lucas_33 = (4, 11, 18)
-    assert triple("lucas", 3, 3).gens == lucas_33
+    assert params("lucas", 3, 3).gens == lucas_33
     assert _count_representations(published_lucas_g3, lucas_33) == 4
     assert _count_representations(65, lucas_33) == 3
     # adding a1 = 4 keeps every representation, so four consecutive integers
@@ -103,8 +104,9 @@ def test_criterion_04_pinned_exceptional_constants():
 
     failures = []
     for kind, i, k, p, want in pinned:
-        closed = (gp_fib if kind == "fib" else gp_lucas)(params(kind, i, k), p)
-        oracle = p_frobenius(triple(kind, i, k), p)
+        pr = params(kind, i, k)
+        closed = (gp_fib if kind == "fib" else gp_lucas)(pr, p)
+        oracle = apery_levels(pr.gens, p)[p].frobenius()
         ok = closed.covered and closed.value == want and oracle == want
         print(
             f"  gp_{kind}({i},{k},{p}): pinned={want} "
@@ -124,7 +126,7 @@ def test_criterion_04_pinned_exceptional_constants():
 
 
 def test_criterion_05_exact_count_anecdote():
-    gens = GeneratorTuple.of(2, 5, 7)
+    gens = GeneratorTuple((2, 5, 7))
     for p, want in ((17, 43), (18, 42), (22, None)):
         # the scan's own table certifies absence as well as presence
         assert largest_with_exactly_p(gens, p) == want
@@ -170,16 +172,15 @@ def test_criterion_08_pair_reduction_thresholds():
 
 def test_criterion_09_invariant_suite_condensed():
     pool = [
-        GeneratorTuple.of(2, 3),
-        GeneratorTuple.of(2, 5, 7),
-        GeneratorTuple.of(3, 4, 5),
-        GeneratorTuple.of(6, 10, 15),
-        GeneratorTuple.of(8, 21, 55),
+        GeneratorTuple((2, 3)),
+        GeneratorTuple((2, 5, 7)),
+        GeneratorTuple((3, 4, 5)),
+        GeneratorTuple((6, 10, 15)),
+        GeneratorTuple((8, 21, 55)),
     ]
     # residue completeness + the exact division behind every n_p value
     for gens in pool:
-        for p in range(5):
-            aps = apery_set(gens, p)
+        for aps in apery_levels(gens, 4):
             assert sorted(e % gens.a1 for e in aps.elements) == list(range(gens.a1))
             assert aps.sylvester() >= 0  # internal divmod asserts exactness
 
@@ -187,15 +188,14 @@ def test_criterion_09_invariant_suite_condensed():
     for kind, i_hi in (("fib", 8), ("lucas", 6)):
         for i in range(3, i_hi + 1):
             for k in range(3, i + 4):
-                gens = triple(kind, i, k)
+                gens = params(kind, i, k).gens
                 if gens.a1 == 1:
                     continue
-                prev = apery_set(gens, 0)
-                for p in range(1, 4):
-                    cur = apery_set(gens, p)
+                prev, *rest = apery_levels(gens, 3)
+                for cur in rest:
                     assert all(
                         c >= m + gens.a1 for m, c in zip(prev.elements, cur.elements)
-                    ), (kind, i, k, p)
+                    ), (kind, i, k, cur.p)
                     prev = cur
 
     # every halved expression in the count formulas divides exactly:

@@ -3,43 +3,39 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from froblab.apery import VALUE_BUDGET, _check_budget, apery_levels, apery_set, p_frobenius, p_sylvester
+from froblab.apery import VALUE_BUDGET, _check_budget, apery_levels
 from froblab.denumerant import denumerant, denumerant_table, p_frobenius_scan, p_sylvester_scan
+from froblab.closed_forms import params
 from froblab.generators import DegenerateTupleError, GeneratorTuple
 
-F6_TRIPLE = GeneratorTuple.of(8, 21, 55)
+F6_TRIPLE = GeneratorTuple((8, 21, 55))
 
 
 def test_smallest_two_generator_case():
-    aset = apery_set((2, 3), 0)
+    (aset,) = apery_levels((2, 3), 0)
     assert aset.elements == (0, 3)
-    assert p_frobenius((2, 3), 0) == 1
-    assert p_sylvester((2, 3), 0) == 1
+    assert aset.frobenius() == 1
+    assert aset.sylvester() == 1
     assert p_sylvester_scan((2, 3), 0) == 1
 
 
 def test_level_zero_has_zero_for_residue_zero():
     for gens in ((2, 3), (3, 4, 5), (8, 21, 55)):
-        assert apery_set(gens, 0).elements[0] == 0
+        assert apery_levels(gens, 0)[0].elements[0] == 0
 
 
 def test_degenerate_tuple_rejected():
     with pytest.raises(DegenerateTupleError):
-        apery_set((1, 3), 0)
+        apery_levels((1, 3), 0)
     with pytest.raises(DegenerateTupleError):
-        p_frobenius((1, 5, 7), 2)
+        apery_levels((1, 5, 7), 2)
 
 
 def test_negative_level_rejected():
-    with pytest.raises(ValueError):
-        apery_set((2, 3), -1)
-    with pytest.raises(ValueError):
-        p_frobenius_scan((2, 3), -2)
-
-
-def test_apery_levels_rejects_negative_level():
     with pytest.raises(ValueError, match="p_max must be >= 0"):
         apery_levels((2, 3), -1)
+    with pytest.raises(ValueError):
+        p_frobenius_scan((2, 3), -2)
 
 
 def test_worked_example_apery_levels():
@@ -50,13 +46,15 @@ def test_worked_example_apery_levels():
         3: {168, 181, 202, 215, 228, 249, 262, 275},
         4: {189, 210, 223, 236, 257, 270, 283, 296},
     }
+    levels = apery_levels(F6_TRIPLE, 4)
     for p, want in expected.items():
-        assert set(apery_set(F6_TRIPLE, p).elements) == want
+        assert set(levels[p].elements) == want
 
 
 def test_worked_example_derived_quantities():
-    assert [p_frobenius(F6_TRIPLE, p) for p in range(5)] == [123, 178, 233, 267, 288]
-    assert [p_sylvester(F6_TRIPLE, p) for p in range(5)] == [63, 123, 180, 219, 242]
+    levels = apery_levels(F6_TRIPLE, 4)
+    assert [aset.frobenius() for aset in levels] == [123, 178, 233, 267, 288]
+    assert [aset.sylvester() for aset in levels] == [63, 123, 180, 219, 242]
 
 
 def test_scan_route_matches_worked_example():
@@ -70,14 +68,13 @@ def test_scan_two_generator_level_one():
     # d(7; 2,3) = 1 and every n >= 8 has at least two representations,
     # in line with the pair formula (p+1)ab - a - b = 2*6 - 5 = 7.
     assert p_frobenius_scan((2, 3), 1) == 7
-    assert p_frobenius((2, 3), 1) == 7
+    assert apery_levels((2, 3), 1)[1].frobenius() == 7
 
 
 def test_elements_satisfy_defining_inequalities():
     for gens in ((2, 5, 7), (8, 21, 55), (3, 4, 5)):
         tup = GeneratorTuple(gens)
-        for p in range(4):
-            aset = apery_set(tup, p)
+        for p, aset in enumerate(apery_levels(tup, 3)):
             for j, m in enumerate(aset.elements):
                 assert m % tup.a1 == j
                 assert denumerant(m, tup) >= p + 1
@@ -90,12 +87,12 @@ def test_two_generator_closed_form_against_scan():
         for b in range(a + 1, 21):
             if gcd(a, b) != 1:
                 continue
-            for p in range(6):
+            for p, aset in enumerate(apery_levels((a, b), 5)):
                 g = (p + 1) * a * b - a - b
                 assert p_frobenius_scan((a, b), p) == g
                 # a pair is the walk's closed-form lists of a_1, a_2 and nothing else
-                assert p_frobenius((a, b), p) == g
-                assert 2 * p_sylvester((a, b), p) == (2 * p + 1) * a * b - a - b + 1
+                assert aset.frobenius() == g
+                assert 2 * aset.sylvester() == (2 * p + 1) * a * b - a - b + 1
 
 
 TUPLE_POOL = [
@@ -112,15 +109,16 @@ TUPLE_POOL = [
 @pytest.mark.parametrize("gens", TUPLE_POOL)
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
 def test_routes_agree(gens, p):
-    assert p_frobenius(gens, p) == p_frobenius_scan(gens, p)
-    assert p_sylvester(gens, p) == p_sylvester_scan(gens, p)
+    aset = apery_levels(gens, p)[p]
+    assert aset.frobenius() == p_frobenius_scan(gens, p)
+    assert aset.sylvester() == p_sylvester_scan(gens, p)
 
 
 def test_monotone_tail_beyond_frobenius():
     for gens in ((2, 5, 7), (3, 4, 5), (8, 21, 55)):
         tup = GeneratorTuple(gens)
-        for p in range(3):
-            g = p_frobenius(tup, p)
+        for p, aset in enumerate(apery_levels(tup, 2)):
+            g = aset.frobenius()
             for n in range(g + 1, g + 3 * tup.a1 + 1):
                 assert denumerant(n, tup) >= p + 1
 
@@ -148,7 +146,7 @@ def random_tuple(draw):
 @given(random_tuple(), st.integers(min_value=0, max_value=3))
 def test_completeness_and_agreement_on_random_tuples(gens, p):
     tup = GeneratorTuple(gens)
-    aset = apery_set(tup, p)
+    aset = apery_levels(tup, p)[p]
     assert sorted(m % tup.a1 for m in aset.elements) == list(range(tup.a1))
     assert aset.frobenius() == p_frobenius_scan(tup, p)
     assert aset.sylvester() == p_sylvester_scan(tup, p)
@@ -186,7 +184,7 @@ def test_residue_walk_matches_dense_count_scan(gens, p_max):
     assert [aset.p for aset in levels] == list(range(p_max + 1))
     for p, aset in enumerate(levels):
         assert aset.elements == _scan_elements(gens, p), (gens, p)
-        assert aset.elements == apery_set(gens, p).elements
+        assert aset.elements == apery_levels(gens, p)[p].elements
 
 
 def _assert_walk_matches_scan(gens, p_max):
@@ -246,12 +244,10 @@ def test_walk_branches_match_dense_count_scan(gens, p_max):
 
 
 def test_walk_matches_dense_count_scan_on_family_triples():
-    from froblab.closed_forms import triple
-
     cases = [("fib", i) for i in range(3, 9)] + [("lucas", i) for i in range(3, 8)]
     for kind, i in cases:
         for k in range(3, i + 6):
-            _assert_walk_matches_scan(triple(kind, i, k).gens, 6)
+            _assert_walk_matches_scan(params(kind, i, k).gens, 6)
 
 
 def test_walk_refuses_over_budget_before_allocating():
@@ -274,15 +270,12 @@ def test_level_monotonicity_on_family_triples():
     # m_j^(p+1) >= m_j^(p) + a_1 holds across the Fibonacci/Lucas sweep
     # ranges (it is *not* a theorem for arbitrary tuples: {3,4,5} violates
     # it at level 4 where one count jumps by two).
-    from froblab.closed_forms import triple
-
     cases = [("fib", i, k) for i in range(3, 9) for k in range(3, i + 4)]
     cases += [("lucas", i, k) for i in range(3, 7) for k in range(3, i + 4)]
     for kind, i, k in cases:
-        tup = triple(kind, i, k)
-        prev = apery_set(tup, 0)
-        for p in range(1, 4):
-            cur = apery_set(tup, p)
+        tup = params(kind, i, k).gens
+        prev, *rest = apery_levels(tup, 3)
+        for cur in rest:
             for j in range(tup.a1):
                 assert cur.elements[j] >= prev.elements[j] + tup.a1
             assert cur.frobenius() > prev.frobenius()
@@ -296,5 +289,6 @@ def test_general_tuple_monotonicity_is_genuinely_weaker():
     # share an element and the "+ a_1" step fails off the triple families.
     assert denumerant(17, (3, 4, 5)) == 4
     assert denumerant(20, (3, 4, 5)) == 6
-    assert apery_set((3, 4, 5), 4).elements[2] == 20
-    assert apery_set((3, 4, 5), 5).elements[2] == 20
+    levels = apery_levels((3, 4, 5), 5)
+    assert levels[4].elements[2] == 20
+    assert levels[5].elements[2] == 20

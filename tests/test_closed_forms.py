@@ -1,7 +1,7 @@
 import pytest
 
-from froblab import cli, closed_forms, route, tables
-from froblab.apery import p_frobenius, p_sylvester
+from froblab import cli, closed_forms, tables
+from froblab.apery import apery_levels
 from froblab.closed_forms import (
     NotCoveredError,
     _gp_general,
@@ -16,12 +16,11 @@ from froblab.closed_forms import (
     np_lucas,
     params,
     proposition_h,
-    triple,
 )
 from froblab.cli import SweepSpec, run_sweep
 from froblab.denumerant import denumerant, p_frobenius_scan
 from froblab.generators import DegenerateTupleError
-from froblab.route import compute, compute_g, compute_n
+from froblab.route import compute
 from froblab.sequences import fib, lucas
 
 
@@ -55,7 +54,7 @@ def params_calls(monkeypatch):
         calls.append(args)
         return params(*args, **kwargs)
 
-    for module in (closed_forms, cli, route, tables):
+    for module in (closed_forms, cli, tables):
         monkeypatch.setattr(module, "params", counted, raising=False)
     return calls
 
@@ -158,12 +157,13 @@ def test_pair_reduction_fails_at_i3_p23():
     # fib i=3, k=10 is (2, 5, 233).  233 itself has 24 representations: 23
     # over the pair, plus x_{i+k} alone.  So the Proposition's 233 is not
     # g_23; 231, with 23, is.  The branch stays as published, flagged verbatim.
-    tup = triple("fib", 3, 10)
+    pr = params("fib", 3, 10)
+    tup = pr.gens
     assert tup.gens == (2, 5, 233)
     assert denumerant(233, tup) == 24
     assert denumerant(231, tup) == 23
-    assert p_frobenius(tup, 23) == p_frobenius_scan(tup, 23) == 231
-    res = gp_fib(params("fib", 3, 10), 23)
+    assert apery_levels(tup, 23)[23].frobenius() == p_frobenius_scan(tup, 23) == 231
+    res = gp_fib(pr, 23)
     assert (res.value, str(res.tag)) == (233, "Prop/k>=i+7")
 
 
@@ -178,23 +178,26 @@ def test_exceptional_constants_match_closed_form_and_oracle():
         (gp_lucas, "lucas", 3, 3, 2, 61),
     ]
     for fn, kind, i, k, p, expected in cases:
-        assert fn(params(kind, i, k), p).value == expected
-        assert p_frobenius(triple(kind, i, k), p) == expected
+        pr = params(kind, i, k)
+        assert fn(pr, p).value == expected
+        assert apery_levels(pr.gens, p)[p].frobenius() == expected
 
 
 def test_smallest_lucas_level3_constant_self_consistent():
     # The dedicated (i,k)=(3,3) branch 3*L_5 + 2*L_6 - L_3 evaluates to 65,
     # and the exhaustive oracle returns the same number.
-    res = gp_lucas(params("lucas", 3, 3), 3)
+    pr = params("lucas", 3, 3)
+    res = gp_lucas(pr, 3)
     assert res.value == 65
-    assert p_frobenius(triple("lucas", 3, 3), 3) == 65
+    assert apery_levels(pr.gens, 3)[3].frobenius() == 65
 
 
 def test_lucas_level1_tail_value():
     # i=5, any k >= i+4: (2*L_5 - 1)*L_7 - L_5 = 21*29 - 11
-    res = gp_lucas(params("lucas", 5, 9), 1)
+    pr = params("lucas", 5, 9)
+    res = gp_lucas(pr, 1)
     assert res.value == 598
-    assert p_frobenius(triple("lucas", 5, 9), 1) == 598
+    assert apery_levels(pr.gens, 1)[1].frobenius() == 598
 
 
 # ------------------------------------------------------- remark test vectors
@@ -306,24 +309,25 @@ def test_discriminant_equality_cases_match_oracle():
     found = 0
     for i in range(3, 9):
         for k in range(3, i + 6):
-            for p in range(0, 4):
-                pr = params("fib", i, k)
-                d = discriminant(pr)
-                if d.lhs != d.rhs:
-                    continue
+            pr = params("fib", i, k)
+            d = discriminant(pr)
+            if d.lhs != d.rhs:
+                continue
+            for p, aset in enumerate(apery_levels(pr.gens, 3)):
                 found += 1
                 res = gp_fib(pr, p)
                 if res.covered:
-                    assert res.value == p_frobenius(triple("fib", i, k), p)
+                    assert res.value == aset.frobenius()
     assert found > 0  # the check has teeth in this range
 
 
 # ------------------------------------------------------------ n_p specifics
 
 def test_np_general_covers_level_zero():
-    res = np_fib(params("fib", 5, 3), 0)
+    pr = params("fib", 5, 3)
+    res = np_fib(pr, 0)
     assert res.covered and res.tag.theorem == "Np"
-    assert res.value == p_sylvester(triple("fib", 5, 3), 0)
+    assert res.value == apery_levels(pr.gens, 0)[0].sylvester()
 
 
 def test_np_lucas_never_covered():
@@ -341,38 +345,41 @@ def test_fib_p0_r0_corner_not_covered():
 # ----------------------------------------------------------- compute wrapper
 
 def test_compute_prefers_closed_and_records_path():
-    comp = compute_g("fib", 6, 4, 2)
+    comp = compute("g", params("fib", 6, 4), 2)
     assert (comp.value, comp.path, str(comp.tag)) == (233, "closed", "Thm3/general")
 
 
 def test_compute_falls_back_to_oracle():
-    comp = compute_g("fib", 3, 3, 0)
+    pr = params("fib", 3, 3)
+    comp = compute("g", pr, 0)
     assert comp.path == "oracle"
     assert comp.tag is None
-    assert comp.value == p_frobenius(triple("fib", 3, 3), 0)
+    assert comp.value == apery_levels(pr.gens, 0)[0].frobenius()
 
 
 def test_compute_oracle_method_forced():
-    comp = compute_n("fib", 6, 4, 2, method="oracle")
+    comp = compute("n", params("fib", 6, 4), 2, method="oracle")
     assert comp.path == "oracle"
     assert comp.value == 180
 
 
 def test_compute_closed_method_errors_when_uncovered():
     with pytest.raises(NotCoveredError):
-        compute_g("fib", 3, 3, 0, method="closed")
+        compute("g", params("fib", 3, 3), 0, method="closed")
     with pytest.raises(NotCoveredError):
-        compute_n("lucas", 4, 4, 1, method="closed")
+        compute("n", params("lucas", 4, 4), 1, method="closed")
 
 
 def test_compute_rejects_unknown_method():
     with pytest.raises(ValueError):
-        compute_g("fib", 6, 4, 2, method="guess")
+        compute("g", params("fib", 6, 4), 2, method="guess")
 
 
 def test_compute_takes_a_closed_form_only_for_a_family_triple():
-    tup = triple("fib", 6, 4)
-    assert compute("g", params("fib", 6, 4), 2) == compute_g("fib", 6, 4, 2)
+    pr = params("fib", 6, 4)
+    tup = pr.gens
+    comp = compute("g", pr, 2)
+    assert (comp.value, comp.path, str(comp.tag)) == (233, "closed", "Thm3/general")
     assert compute("g", tup, 2) == (233, "oracle", None)
     with pytest.raises(NotCoveredError, match="only for --kind triples"):
         compute("n", tup, 2, method="closed")
@@ -380,3 +387,11 @@ def test_compute_takes_a_closed_form_only_for_a_family_triple():
         compute("g", (1, 3), 0, method="closed")
     with pytest.raises(ValueError, match="quantity"):
         compute("h", tup, 2)
+
+
+@pytest.mark.parametrize("method", ["auto", "closed", "oracle"])
+@pytest.mark.parametrize("source", [FIB, (8, 21, 55)], ids=["params", "tuple"])
+def test_compute_refuses_a_negative_level(source, method):
+    for quantity in ("g", "n"):
+        with pytest.raises(ValueError, match=r"^p must be >= 0, got -1$"):
+            compute(quantity, source, -1, method)

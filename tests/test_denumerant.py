@@ -3,7 +3,7 @@ import importlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from froblab.apery import p_frobenius, p_sylvester
+from froblab.apery import apery_levels
 from froblab.denumerant import (
     denumerant,
     denumerant_table,
@@ -18,7 +18,7 @@ from froblab.generators import GeneratorTuple, TupleValidationError
 
 def test_tuple_sorted_regardless_of_input_order():
     assert GeneratorTuple((55, 8, 21)).gens == (8, 21, 55)
-    assert GeneratorTuple.of(7, 2, 5).a1 == 2
+    assert GeneratorTuple((7, 2, 5)).a1 == 2
 
 
 @pytest.mark.parametrize(
@@ -126,7 +126,7 @@ def test_superadditive_under_generator_inclusion(gens, n):
 # -------------------------------------------------------- exact-count search
 
 def test_largest_with_exactly_p_anecdote():
-    gens = GeneratorTuple.of(2, 5, 7)
+    gens = GeneratorTuple((2, 5, 7))
     for p, expected in ((17, 43), (18, 42), (22, None)):
         assert largest_with_exactly_p(gens, p) == expected
 
@@ -159,9 +159,10 @@ def test_scan_doubles_its_table_until_the_tail_is_certified(monkeypatch, p, caps
         return real(gens, limit)
 
     monkeypatch.setattr(module, "_compute_counts", counted)
-    assert p_frobenius_scan((4, 6, 101), p) == g == p_frobenius((4, 6, 101), p)
+    aset = apery_levels((4, 6, 101), p)[p]
+    assert p_frobenius_scan((4, 6, 101), p) == g == aset.frobenius()
     assert seen == caps
-    assert p_sylvester_scan((4, 6, 101), p) == n == p_sylvester((4, 6, 101), p)
+    assert p_sylvester_scan((4, 6, 101), p) == n == aset.sylvester()
 
 
 def test_scan_with_a_unit_generator_has_no_gap():

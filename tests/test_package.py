@@ -16,13 +16,15 @@ EARLIER_NAMES = {
     "AperySet", "BranchDiscriminant", "CaseTag", "Cell", "Computation",
     "DegenerateTupleError", "DenumerantTable", "FormulaResult", "GeneratorTuple",
     "NotCoveredError", "ResidueTable", "SequenceKind", "TripleParams",
-    "TupleValidationError", "apery_levels", "apery_set", "build_table", "closed_g",
-    "closed_n", "compute_g", "compute_n", "denumerant", "denumerant_table",
-    "discriminant", "export_json", "fib", "gp_fib", "gp_fib_two_gen", "gp_lucas",
-    "largest_with_exactly_p", "lucas", "np_fib", "np_lucas", "p_frobenius",
-    "p_frobenius_scan", "p_sylvester", "p_sylvester_scan", "params", "proposition_h",
-    "render_ascii", "seq", "triple",
+    "TupleValidationError", "apery_levels", "build_table", "closed_g", "closed_n",
+    "denumerant", "denumerant_table", "discriminant", "export_json", "fib", "gp_fib",
+    "gp_fib_two_gen", "gp_lucas", "largest_with_exactly_p", "lucas", "np_fib",
+    "np_lucas", "p_frobenius_scan", "p_sylvester_scan", "params", "proposition_h",
+    "render_ascii", "seq",
 }
+
+# wrappers over apery_levels, route.compute and params, removed with their callers
+REMOVED_NAMES = ("apery_set", "p_frobenius", "p_sylvester", "compute_g", "compute_n", "triple")
 
 
 def test_package_exports_each_module_all():
@@ -37,9 +39,17 @@ def test_package_exports_each_module_all():
 
 
 def test_package_keeps_every_earlier_name():
-    assert len(EARLIER_NAMES) == 42
+    assert len(EARLIER_NAMES) == 36
     assert EARLIER_NAMES <= set(froblab.__all__)
     assert {"MAX_INDEX", "VALUE_BUDGET"} <= set(froblab.__all__)
+
+
+def test_removed_wrappers_are_gone():
+    for name in REMOVED_NAMES:
+        assert not hasattr(froblab, name), name
+        for module in MODULES:
+            assert not hasattr(importlib.import_module(f"froblab.{module}"), name), (module, name)
+    assert not hasattr(froblab.GeneratorTuple, "of")
 
 
 def test_package_denumerant_is_the_function():

@@ -18,7 +18,7 @@ from froblab import (
 )
 from froblab.cli import Row, SweepSpec, VerifyReport
 
-GENS = GeneratorTuple.of(8, 21, 55)
+GENS = GeneratorTuple((8, 21, 55))
 PARAMS = params("fib", 6, 4)
 TAG = CaseTag("Thm3", "general")
 
@@ -103,9 +103,9 @@ def test_generator_tuple_sorts_and_behaves_as_a_tuple():
     assert (tup.a1, tup.a2) == (8, 21)
     assert len(tup) == 3
     assert list(tup) == [8, 21, 55]
-    assert tup == GeneratorTuple.of(21, 55, 8) == (8, 21, 55)
-    assert hash(tup) == hash(GeneratorTuple.of(21, 55, 8))
-    assert len({tup, GeneratorTuple.of(55, 21, 8)}) == 1
+    assert tup == GeneratorTuple((21, 55, 8)) == (8, 21, 55)
+    assert hash(tup) == hash(GeneratorTuple((21, 55, 8)))
+    assert len({tup, GeneratorTuple((55, 21, 8))}) == 1
     assert GeneratorTuple(tup) == tup
 
 
