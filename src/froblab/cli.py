@@ -9,7 +9,7 @@ arguments, 3 degenerate tuple (smallest generator is 1), 4 closed form
 demanded (``--method closed``) where none is covered, 5 internal error
 (an invariant check failed; a bug, not bad input).
 
-Every command answers from one residue walk (``exact`` too, from levels
+Every command answers from at most one residue walk (``exact`` from levels
 ``p - 1`` and ``p``), which refuses, with exit 2 and before allocating, a
 tuple whose ``(a_1 + 11) * (p + 2)`` exceeds :data:`froblab.apery.VALUE_BUDGET`
 (5,000,000); ``table`` also refuses a box of more cells than that.  A
@@ -31,14 +31,12 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .apery import _check_budget, apery_levels
 from .closed_forms import (
-    CaseTag,
-    FormulaResult,
     NotCoveredError,
     TripleParams,
     closed_g,
     closed_n,
-    gp_fib_two_gen,
     params,
+    proposition_g,
     proposition_h,
 )
 from .generators import DegenerateTupleError, GeneratorTuple, TupleValidationError
@@ -122,7 +120,7 @@ class Row(NamedTuple):
 
 
 def _sweep_point(pr: TripleParams, levels: Sequence[int],
-                 forms: Mapping[str, Callable[[TripleParams, int], FormulaResult]]) -> list[Row]:
+                 forms: Mapping[str, Callable]) -> list[Row]:
     """Rows for one triple at every level of ``levels`` (ascending), from one oracle call,
     each quantity of ``forms`` checked against its closed form ``forms[qty](pr, p)``."""
     asets = apery_levels(pr.gens, levels[-1])
@@ -249,13 +247,9 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
         for i in i_values:
             for k in (i + h, i + h + 1):
                 checked_at.setdefault((i, k), []).append(p)
-
-    def pair(pr: TripleParams, p: int) -> FormulaResult:
-        return FormulaResult(gp_fib_two_gen(pr.i, p), CaseTag("Prop", f"k>=i+{thresholds[p]}", True))
-
     rows = []
     for (i, k), ps in checked_at.items():  # one walk per triple, to its highest level
-        rows += _sweep_point(params("fib", i, k), ps, {"g": pair})
+        rows += _sweep_point(params("fib", i, k), ps, {"g": proposition_g})
     rows.sort(key=lambda r: (r.p, r.i, r.k))
     return VerifyReport(rows)
 
@@ -407,19 +401,19 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     t0 = time.monotonic()
     if args.proposition:
-        p_lo, p_hi = _parse_int_span("--p", args.p) if args.p else (0, 6)
-        i_lo, i_hi = _parse_int_span("--i", args.i) if args.i else (3, 5)
+        p_lo, p_hi = (0, 6) if args.p is None else _parse_int_span("--p", args.p)
+        i_lo, i_hi = (3, 5) if args.i is None else _parse_int_span("--i", args.i)
         report = run_proposition(p_lo, p_hi, range(i_lo, i_hi + 1))
     else:
         kinds = ("fib", "lucas") if args.kind == "both" else (args.kind,)
         quantities = _QUANTITIES if args.what == "both" else (args.what,)
         # a range left out keeps SweepSpec's default
         grid = {"kinds": kinds, "quantities": quantities}
-        if args.i:
+        if args.i is not None:
             grid["i_lo"], grid["i_hi"] = _parse_int_span("--i", args.i)
-        if args.k:
+        if args.k is not None:
             grid["k_lo"], grid["k_hi"] = _parse_k_span(args.k)
-        if args.p:
+        if args.p is not None:
             grid["p_lo"], grid["p_hi"] = _parse_int_span("--p", args.p)
         report = run_sweep(SweepSpec(**grid), progress=lambda m: _note(args, m))
 

@@ -19,6 +19,8 @@ Index conventions used throughout: ``i, k >= 3``; the splitting
 parameters are ``r, ell = divmod(x_i - 1, fib(k))`` — note ``fib(k)``
 even in the Lucas family.  :func:`params` resolves them once per triple,
 and every closed form takes that :class:`TripleParams` and a level ``p``.
+:func:`closed_g` and :func:`closed_n` are the entries, one per quantity,
+over both families; :func:`proposition_g` is the pair-reduction row alone.
 """
 
 from __future__ import annotations
@@ -33,15 +35,10 @@ __all__ = [
     "TripleParams",
     "CaseTag",
     "FormulaResult",
-    "BranchDiscriminant",
     "params",
-    "discriminant",
-    "gp_fib",
-    "gp_lucas",
-    "np_fib",
-    "np_lucas",
     "gp_fib_two_gen",
     "proposition_h",
+    "proposition_g",
     "closed_g",
     "closed_n",
 ]
@@ -86,14 +83,6 @@ def params(kind: "SequenceKind | str", i: int, k: int) -> TripleParams:
     return TripleParams(kind, i, k, x_i, x_i2, x_ik, r, ell)
 
 
-def _check(pr: TripleParams, p: int, kind: Optional[SequenceKind] = None) -> None:
-    """Refuse a negative level, or a triple of a family other than ``kind``."""
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
-    if kind is not None and pr.kind is not kind:
-        raise ValueError(f"a {kind.value} closed form was given a {pr.kind.value} triple")
-
-
 class CaseTag(NamedTuple):
     """Identifies the branch a value came from, e.g. ``Thm3/k=i+1``.
 
@@ -132,32 +121,6 @@ def _miss(reason: str) -> FormulaResult:
     return FormulaResult(None, CaseTag(_TAG_NONE, reason))
 
 
-class BranchDiscriminant(NamedTuple):
-    """The comparison that splits the general two-case formulas.
-
-    ``lhs = (x_i - r*fib(k)) * x_{i+2}`` and ``rhs = fib(k-2) * x_i``.
-    Some branch tables split on ``lhs >= rhs``, one on strict
-    ``lhs > rhs``, so both readings are exposed.
-    """
-
-    lhs: int
-    rhs: int
-
-    @property
-    def first(self) -> bool:
-        return self.lhs >= self.rhs
-
-    @property
-    def strictly_first(self) -> bool:
-        return self.lhs > self.rhs
-
-
-def discriminant(pr: TripleParams) -> BranchDiscriminant:
-    return BranchDiscriminant(
-        (pr.x_i - pr.r * fib(pr.k)) * pr.x_i2, fib(pr.k - 2) * pr.x_i
-    )
-
-
 def _half(x: int) -> int:
     q, rem = divmod(x, 2)
     if rem:
@@ -168,23 +131,20 @@ def _half(x: int) -> int:
 def _gp_general(pr: TripleParams, p: int, theorem: str) -> FormulaResult:
     """The uniform two-case largest-value formula (needs ``r >= p``).
 
-    Which of the two cases fired is recoverable from :func:`discriminant`;
-    the tag names only the branch family.
+    The cases split on ``(x_i - r*fib(k)) * x_{i+2} >= fib(k-2) * x_i``,
+    where ``x_i - r*fib(k) = ell + 1``; the tag names only the branch family.
     """
-    _check(pr, p)
     if pr.r < p:
         raise AssertionError(f"{theorem}/general needs r >= p, got r={pr.r} p={p}")
-    fk = fib(pr.k)
-    if discriminant(pr).first:
-        v = (pr.x_i - pr.r * fk - 1) * pr.x_i2 + (pr.r + p) * pr.x_ik - pr.x_i
+    if (pr.ell + 1) * pr.x_i2 >= fib(pr.k - 2) * pr.x_i:
+        v = pr.ell * pr.x_i2 + (pr.r + p) * pr.x_ik - pr.x_i
     else:
-        v = (fk - 1) * pr.x_i2 + (pr.r + p - 1) * pr.x_ik - pr.x_i
+        v = (fib(pr.k) - 1) * pr.x_i2 + (pr.r + p - 1) * pr.x_ik - pr.x_i
     return _hit(theorem, "general", v)
 
 
 def _np_general(pr: TripleParams, p: int, theorem: str) -> FormulaResult:
     """The uniform averaged-count formula (needs ``r >= p``)."""
-    _check(pr, p)
     if pr.r < p:
         raise AssertionError(f"{theorem}/general needs r >= p, got r={pr.r} p={p}")
     fk, fk2 = fib(pr.k), fib(pr.k - 2)
@@ -218,9 +178,17 @@ def proposition_h(p: int) -> Optional[int]:
     return _PROP_H.get(p)
 
 
-def gp_fib(pr: TripleParams, p: int) -> FormulaResult:
+def proposition_g(pr: TripleParams, p: int) -> FormulaResult:
+    """The pair's largest value, tagged ``Prop/k>=i+h``, for a Fibonacci triple
+    with ``k >= i + h`` at a level with a known threshold ``h``; a miss elsewhere."""
+    h = proposition_h(p)
+    if pr.kind is SequenceKind.FIBONACCI and h is not None and pr.k >= pr.i + h:
+        return _hit("Prop", f"k>=i+{h}", gp_fib_two_gen(pr.i, p), verbatim=True)
+    return _miss(f"{pr.kind.value} g: uncovered at i={pr.i} k={pr.k} p={p} (r={pr.r})")
+
+
+def _gp_fib(pr: TripleParams, p: int) -> FormulaResult:
     """Closed-form largest value for the Fibonacci triple, when covered."""
-    _check(pr, p, SequenceKind.FIBONACCI)
     i, k = pr.i, pr.k
     Fi, Fi2, Fik = pr.x_i, pr.x_i2, pr.x_ik
 
@@ -271,22 +239,18 @@ def gp_fib(pr: TripleParams, p: int) -> FormulaResult:
     # excludes the (r, p) = (0, 0) corner.
     if pr.r >= p and (pr.r, p) != (0, 0):
         return _gp_general(pr, p, "Thm5")
-    h = proposition_h(p)
-    if h is not None and k >= i + h:
-        return _hit("Prop", f"k>=i+{h}", gp_fib_two_gen(i, p), verbatim=True)
-    return _miss(f"fib g: uncovered at i={i} k={k} p={p} (r={pr.r})")
+    return proposition_g(pr, p)
 
 
-def gp_lucas(pr: TripleParams, p: int) -> FormulaResult:
+def _gp_lucas(pr: TripleParams, p: int) -> FormulaResult:
     """Closed-form largest value for the Lucas triple, when covered."""
-    _check(pr, p, SequenceKind.LUCAS)
     i, k = pr.i, pr.k
     Li, Li2, Lik = pr.x_i, pr.x_i2, pr.x_ik
     fk, fk2 = fib(k), fib(k - 2)
 
     if p == 0:
-        # This is the one table split on a strict comparison.
-        if pr.r == 0 or discriminant(pr).strictly_first:
+        # The one table split on the strict reading of _gp_general's comparison.
+        if pr.r == 0 or (pr.ell + 1) * Li2 > fk2 * Li:
             return _hit("Thm1", "first case", (Li - 1) * Li2 - Li * (pr.r * fk2 + 1))
         return _hit(
             "Thm1", "second case", (pr.r * fk - 1) * Li2 - Li * ((pr.r - 1) * fk2 + 1)
@@ -341,9 +305,8 @@ def gp_lucas(pr: TripleParams, p: int) -> FormulaResult:
     return _miss(f"lucas g: uncovered at i={i} k={k} p={p} (r={pr.r})")
 
 
-def np_fib(pr: TripleParams, p: int) -> FormulaResult:
+def _np_fib(pr: TripleParams, p: int) -> FormulaResult:
     """Closed-form count of low-representation integers, Fibonacci triples."""
-    _check(pr, p, SequenceKind.FIBONACCI)
     i, k = pr.i, pr.k
     Fi, Fi2, Fik = pr.x_i, pr.x_i2, pr.x_ik
 
@@ -395,19 +358,19 @@ def np_fib(pr: TripleParams, p: int) -> FormulaResult:
     return _miss(f"fib n: uncovered at i={i} k={k} p={p} (r={pr.r})")
 
 
-def np_lucas(pr: TripleParams, p: int) -> FormulaResult:
-    """No closed form is carried for Lucas counts; always a miss."""
-    _check(pr, p, SequenceKind.LUCAS)
-    return _miss(f"lucas n: no closed form at i={pr.i} k={pr.k} p={p}")
-
-
 def closed_g(pr: TripleParams, p: int) -> FormulaResult:
+    """The closed-form largest value of the family triple ``pr`` at level ``p``."""
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p}")
     if pr.kind is SequenceKind.FIBONACCI:
-        return gp_fib(pr, p)
-    return gp_lucas(pr, p)
+        return _gp_fib(pr, p)
+    return _gp_lucas(pr, p)
 
 
 def closed_n(pr: TripleParams, p: int) -> FormulaResult:
+    """The closed-form count at level ``p``; no closed form is carried for Lucas counts."""
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p}")
     if pr.kind is SequenceKind.FIBONACCI:
-        return np_fib(pr, p)
-    return np_lucas(pr, p)
+        return _np_fib(pr, p)
+    return _miss(f"lucas n: no closed form at i={pr.i} k={pr.k} p={p}")

@@ -23,7 +23,7 @@ import pytest
 
 from froblab.apery import _apery_elements, apery_levels
 from froblab.cli import SweepSpec, run_proposition, run_sweep
-from froblab.closed_forms import closed_n, gp_fib, gp_lucas, params
+from froblab.closed_forms import closed_g, closed_n, params
 from froblab.denumerant import largest_with_exactly_p
 from froblab.generators import GeneratorTuple
 from froblab.sequences import fib, lucas
@@ -105,7 +105,7 @@ def test_criterion_04_pinned_exceptional_constants():
     failures = []
     for kind, i, k, p, want in pinned:
         pr = params(kind, i, k)
-        closed = (gp_fib if kind == "fib" else gp_lucas)(pr, p)
+        closed = closed_g(pr, p)
         oracle = apery_levels(pr.gens, p)[p].frobenius()
         ok = closed.covered and closed.value == want and oracle == want
         print(

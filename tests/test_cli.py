@@ -345,7 +345,8 @@ def test_verify_reports_verbatim_mismatch_with_nonzero_exit(capsys):
     assert "N3/k=i+2" in out
 
 
-@pytest.mark.parametrize("k", ["3..2i", "3..i2", "i+..5", "3..j", "3..i+-1", "-3..4"])
+# "" is refused too, not read as the flag's default
+@pytest.mark.parametrize("k", ["3..2i", "3..i2", "i+..5", "3..j", "3..i+-1", "-3..4", ""])
 def test_verify_rejects_malformed_k_bound(capsys, k):
     code, out, err = run_cli(
         capsys, "verify", "--i", "3..4", f"--k={k}", "--p", "0..0", "--quiet",
@@ -355,7 +356,11 @@ def test_verify_rejects_malformed_k_bound(capsys, k):
 
 
 @pytest.mark.parametrize(
-    "argv", [("--i", "a..b"), ("--i", "3.."), ("--p", "1..x"), ("--proposition", "--p", "x")]
+    "argv",
+    [
+        ("--i", "a..b"), ("--i", "3.."), ("--p", "1..x"), ("--proposition", "--p", "x"),
+        ("--i", ""), ("--p", ""), ("--proposition", "--i", ""), ("--proposition", "--p", ""),
+    ],
 )
 def test_verify_range_error_names_its_flag(capsys, argv):
     flag, text = argv[-2:]

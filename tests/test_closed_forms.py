@@ -8,13 +8,9 @@ from froblab.closed_forms import (
     _np_general,
     closed_g,
     closed_n,
-    discriminant,
-    gp_fib,
     gp_fib_two_gen,
-    gp_lucas,
-    np_fib,
-    np_lucas,
     params,
+    proposition_g,
     proposition_h,
 )
 from froblab.cli import SweepSpec, run_sweep
@@ -84,18 +80,14 @@ def test_params_domain_errors(i, k):
 FIB, LUCAS = params("fib", 6, 4), params("lucas", 5, 4)
 
 
-# every closed form refuses a negative level at its own entry
+# each closed-form entry refuses a negative level, for either family
 @pytest.mark.parametrize(
     "fn, args, message",
     [
-        (gp_fib, (FIB, -1), "p must be >= 0"),
-        (np_fib, (FIB, -1), "p must be >= 0"),
-        (gp_lucas, (LUCAS, -1), "p must be >= 0"),
-        (np_lucas, (LUCAS, -1), "p must be >= 0"),
         (closed_g, (FIB, -1), "p must be >= 0"),
+        (closed_n, (FIB, -1), "p must be >= 0"),
+        (closed_g, (LUCAS, -1), "p must be >= 0"),
         (closed_n, (LUCAS, -1), "p must be >= 0"),
-        (_gp_general, (FIB, -1, "T"), "p must be >= 0"),
-        (_np_general, (FIB, -1, "T"), "p must be >= 0"),
         (gp_fib_two_gen, (2, 0), "i must be >= 3"),
         (gp_fib_two_gen, (3, -1), "p must be >= 0"),
     ],
@@ -103,15 +95,6 @@ FIB, LUCAS = params("fib", 6, 4), params("lucas", 5, 4)
 def test_level_and_index_domain_errors(fn, args, message):
     with pytest.raises(ValueError, match=message):
         fn(*args)
-
-
-@pytest.mark.parametrize(
-    "fn, pr",
-    [(gp_fib, LUCAS), (np_fib, LUCAS), (gp_lucas, FIB), (np_lucas, FIB)],
-)
-def test_family_dispatchers_refuse_the_other_family(fn, pr):
-    with pytest.raises(ValueError, match=f"given a {pr.kind.value} triple"):
-        fn(pr, 2)
 
 
 @pytest.mark.parametrize("general", [_gp_general, _np_general])
@@ -143,14 +126,23 @@ def test_proposition_thresholds():
 def test_pair_reduction_matches_p3_tail_branch():
     for i in range(3, 41):
         for k in range(i + 3, i + 7):
-            assert gp_fib(params("fib", i, k), 3).value == gp_fib_two_gen(i, 3)
+            assert closed_g(params("fib", i, k), 3).value == gp_fib_two_gen(i, 3)
 
 
 def test_pair_reduction_covers_large_p_tails():
-    res = gp_fib(params("fib", 5, 5 + 4), 4)  # p=4 threshold is h=4
+    res = closed_g(params("fib", 5, 5 + 4), 4)  # p=4 threshold is h=4
     assert res.covered and res.tag.theorem == "Prop"
     assert res.value == gp_fib_two_gen(5, 4)
-    assert not gp_fib(params("fib", 5, 5 + 3), 4).covered  # below threshold, r < p: a gap
+    assert not closed_g(params("fib", 5, 5 + 3), 4).covered  # below threshold, r < p: a gap
+
+
+def test_proposition_g_is_the_fib_g_tail_and_misses_for_lucas():
+    at, below = params("fib", 5, 5 + 4), params("fib", 5, 5 + 3)  # p=4 threshold is h=4, r=0
+    assert closed_g(at, 4) == proposition_g(at, 4) == (gp_fib_two_gen(5, 4), ("Prop", "k>=i+4", True))
+    assert closed_g(below, 4) == proposition_g(below, 4)
+    assert str(proposition_g(below, 4).tag) == "none/fib g: uncovered at i=5 k=8 p=4 (r=0)"
+    assert not proposition_g(params("lucas", 5, 9), 4).covered
+    assert not proposition_g(at, 2).covered  # no threshold at p=2
 
 
 def test_pair_reduction_fails_at_i3_p23():
@@ -163,7 +155,7 @@ def test_pair_reduction_fails_at_i3_p23():
     assert denumerant(233, tup) == 24
     assert denumerant(231, tup) == 23
     assert apery_levels(tup, 23)[23].frobenius() == p_frobenius_scan(tup, 23) == 231
-    res = gp_fib(pr, 23)
+    res = closed_g(pr, 23)
     assert (res.value, str(res.tag)) == (233, "Prop/k>=i+7")
 
 
@@ -171,15 +163,15 @@ def test_pair_reduction_fails_at_i3_p23():
 
 def test_exceptional_constants_match_closed_form_and_oracle():
     cases = [
-        (gp_fib, "fib", 4, 3, 2, 31),
-        (gp_fib, "fib", 6, 3, 2, 183),
-        (gp_fib, "fib", 6, 3, 1, 149),
-        (gp_fib, "fib", 5, 3, 3, 92),
-        (gp_lucas, "lucas", 3, 3, 2, 61),
+        ("fib", 4, 3, 2, 31),
+        ("fib", 6, 3, 2, 183),
+        ("fib", 6, 3, 1, 149),
+        ("fib", 5, 3, 3, 92),
+        ("lucas", 3, 3, 2, 61),
     ]
-    for fn, kind, i, k, p, expected in cases:
+    for kind, i, k, p, expected in cases:
         pr = params(kind, i, k)
-        assert fn(pr, p).value == expected
+        assert closed_g(pr, p).value == expected
         assert apery_levels(pr.gens, p)[p].frobenius() == expected
 
 
@@ -187,7 +179,7 @@ def test_smallest_lucas_level3_constant_self_consistent():
     # The dedicated (i,k)=(3,3) branch 3*L_5 + 2*L_6 - L_3 evaluates to 65,
     # and the exhaustive oracle returns the same number.
     pr = params("lucas", 3, 3)
-    res = gp_lucas(pr, 3)
+    res = closed_g(pr, 3)
     assert res.value == 65
     assert apery_levels(pr.gens, 3)[3].frobenius() == 65
 
@@ -195,7 +187,7 @@ def test_smallest_lucas_level3_constant_self_consistent():
 def test_lucas_level1_tail_value():
     # i=5, any k >= i+4: (2*L_5 - 1)*L_7 - L_5 = 21*29 - 11
     pr = params("lucas", 5, 9)
-    res = gp_lucas(pr, 1)
+    res = closed_g(pr, 1)
     assert res.value == 598
     assert apery_levels(pr.gens, 1)[1].frobenius() == 598
 
@@ -205,22 +197,22 @@ def test_lucas_level1_tail_value():
 def test_level1_remark_formulas_agree_with_dispatch():
     for i in range(4, 13):
         want = (fib(i - 2) - 1) * fib(i + 2) + 2 * fib(2 * i - 1) - fib(i)
-        assert gp_fib(params("fib", i, i - 1), 1).value == want
+        assert closed_g(params("fib", i, i - 1), 1).value == want
     for i in range(5, 13):
         want = (fib(i - 3) - 1) * fib(i + 2) + 3 * fib(2 * i - 2) - fib(i)
-        assert gp_fib(params("fib", i, i - 2), 1).value == want
+        assert closed_g(params("fib", i, i - 2), 1).value == want
     for i in range(7, 13):
         want = (fib(i - 6) - 1) * fib(i + 2) + 5 * fib(2 * i - 3) - fib(i)
-        assert gp_fib(params("fib", i, i - 3), 1).value == want
-    assert gp_fib(params("fib", 6, 3), 1).value == fib(8) + 4 * fib(9) - fib(6) == 149
+        assert closed_g(params("fib", i, i - 3), 1).value == want
+    assert closed_g(params("fib", 6, 3), 1).value == fib(8) + 4 * fib(9) - fib(6) == 149
     for i in range(7, 13):
         want = (fib(i - 5) + fib(i - 7) - 1) * fib(i + 2) + 7 * fib(2 * i - 4) - fib(i)
-        assert gp_fib(params("fib", i, i - 4), 1).value == want
+        assert closed_g(params("fib", i, i - 4), 1).value == want
     for i in range(10, 14):
         want = (fib(i - 5) - 1) * fib(i + 2) + 11 * fib(2 * i - 5) - fib(i)
-        assert gp_fib(params("fib", i, i - 5), 1).value == want
-    assert gp_fib(params("fib", 9, 4), 1).value == 12 * fib(13) - fib(9)
-    assert gp_fib(params("fib", 8, 3), 1).value == 11 * fib(11) - fib(8)
+        assert closed_g(params("fib", i, i - 5), 1).value == want
+    assert closed_g(params("fib", 9, 4), 1).value == 12 * fib(13) - fib(9)
+    assert closed_g(params("fib", 8, 3), 1).value == 11 * fib(11) - fib(8)
 
 
 def test_level2_remark_formulas_hold_at_their_r():
@@ -228,41 +220,41 @@ def test_level2_remark_formulas_hold_at_their_r():
         pr = params("fib", i, i - 2)
         assert pr.r == 2  # the remark formula is stated for r = 2
         want = (fib(i - 3) - 1) * fib(i + 2) + 4 * fib(2 * i - 2) - fib(i)
-        assert gp_fib(pr, 2).value == want
+        assert closed_g(pr, 2).value == want
     for i in range(7, 13):
         pr = params("fib", i, i - 3)
         assert pr.r == 4  # and this one for r = 4
         want = (fib(i - 6) - 1) * fib(i + 2) + 6 * fib(2 * i - 3) - fib(i)
-        assert gp_fib(pr, 2).value == want
+        assert closed_g(pr, 2).value == want
 
 
 # ----------------------------------------------------------- worked example
 
 def test_worked_example_closed_forms():
-    assert gp_fib(params("fib", 6, 4), 1).value == 178
-    assert gp_fib(params("fib", 6, 4), 2).value == 233
-    assert gp_fib(params("fib", 6, 4), 3).value == 267
-    assert np_fib(params("fib", 6, 4), 1).value == 123
-    assert np_fib(params("fib", 6, 4), 2).value == 180
-    assert np_fib(params("fib", 6, 4), 3).value == 219
+    assert closed_g(params("fib", 6, 4), 1).value == 178
+    assert closed_g(params("fib", 6, 4), 2).value == 233
+    assert closed_g(params("fib", 6, 4), 3).value == 267
+    assert closed_n(params("fib", 6, 4), 1).value == 123
+    assert closed_n(params("fib", 6, 4), 2).value == 180
+    assert closed_n(params("fib", 6, 4), 3).value == 219
 
 
 def test_case_tags_identify_branches():
-    tag = gp_fib(params("fib", 6, 4), 2).tag
+    tag = closed_g(params("fib", 6, 4), 2).tag
     assert tag.theorem == "Thm3"
     assert str(tag) == "Thm3/general"
-    assert gp_fib(params("fib", 10, 13), 2).tag.branch == "k>=i+3"
-    assert gp_lucas(params("lucas", 4, 4), 0).tag.theorem == "Thm1"
-    assert np_fib(params("fib", 6, 9), 1).tag.theorem == "N1"
+    assert closed_g(params("fib", 10, 13), 2).tag.branch == "k>=i+3"
+    assert closed_g(params("lucas", 4, 4), 0).tag.theorem == "Thm1"
+    assert closed_n(params("fib", 6, 9), 1).tag.theorem == "N1"
 
 
 def test_verbatim_flags_sit_exactly_where_intended():
-    assert np_fib(params("fib", 6, 5), 2).tag.verbatim  # N2 at k=i-1
-    assert np_fib(params("fib", 5, 7), 3).tag.verbatim  # N3 at k=i+2
-    assert np_fib(params("fib", 5, 6), 3).tag.verbatim  # N3 at k=i+1
-    assert not np_fib(params("fib", 5, 5), 3).tag.verbatim
-    assert not gp_fib(params("fib", 6, 4), 2).tag.verbatim
-    assert gp_fib(params("fib", 3, 10), 23).tag.verbatim  # Prop, which fails at this point
+    assert closed_n(params("fib", 6, 5), 2).tag.verbatim  # N2 at k=i-1
+    assert closed_n(params("fib", 5, 7), 3).tag.verbatim  # N3 at k=i+2
+    assert closed_n(params("fib", 5, 6), 3).tag.verbatim  # N3 at k=i+1
+    assert not closed_n(params("fib", 5, 5), 3).tag.verbatim
+    assert not closed_g(params("fib", 6, 4), 2).tag.verbatim
+    assert closed_g(params("fib", 3, 10), 23).tag.verbatim  # Prop, which fails at this point
 
 
 # ------------------------------------------------------------- the big sweep
@@ -293,29 +285,29 @@ def test_branch_totality_for_low_levels():
     for i in range(3, 41):
         for k in range(3, i + 6):
             for p in (1, 2, 3):
-                assert gp_fib(params("fib", i, k), p).covered
-                assert np_fib(params("fib", i, k), p).covered
-            assert gp_fib(params("fib", i, k), 0).covered == (params("fib", i, k).r >= 1)
+                assert closed_g(params("fib", i, k), p).covered
+                assert closed_n(params("fib", i, k), p).covered
+            assert closed_g(params("fib", i, k), 0).covered == (params("fib", i, k).r >= 1)
     for i in range(3, 41):
         for k in range(3, i + 6):
             for p in (0, 1, 2, 3):
-                assert gp_lucas(params("lucas", i, k), p).covered
+                assert closed_g(params("lucas", i, k), p).covered
 
 
-def test_discriminant_equality_cases_match_oracle():
-    # At k = i+4 (Fibonacci, r=0) both sides of the branch comparison are
-    # equal: F_{k-2} = F_{i+2}.  These points must still agree with the
-    # oracle through whatever branch handles them.
+def test_branch_split_equality_cases_match_oracle():
+    # At k = i+4 (Fibonacci, r=0) both sides of the branch comparison
+    # (ell + 1) * x_{i+2} against F_{k-2} * x_i are equal: ell + 1 = F_i and
+    # F_{k-2} = F_{i+2}.  These points must still agree with the oracle
+    # through whatever branch handles them.
     found = 0
     for i in range(3, 9):
         for k in range(3, i + 6):
             pr = params("fib", i, k)
-            d = discriminant(pr)
-            if d.lhs != d.rhs:
+            if (pr.ell + 1) * pr.x_i2 != fib(k - 2) * pr.x_i:
                 continue
             for p, aset in enumerate(apery_levels(pr.gens, 3)):
                 found += 1
-                res = gp_fib(pr, p)
+                res = closed_g(pr, p)
                 if res.covered:
                     assert res.value == aset.frobenius()
     assert found > 0  # the check has teeth in this range
@@ -325,20 +317,21 @@ def test_discriminant_equality_cases_match_oracle():
 
 def test_np_general_covers_level_zero():
     pr = params("fib", 5, 3)
-    res = np_fib(pr, 0)
+    res = closed_n(pr, 0)
     assert res.covered and res.tag.theorem == "Np"
     assert res.value == apery_levels(pr.gens, 0)[0].sylvester()
 
 
-def test_np_lucas_never_covered():
+def test_lucas_n_never_covered():
     for i, k, p in [(3, 3, 0), (5, 7, 2), (4, 9, 1)]:
-        res = np_lucas(params("lucas", i, k), p)
+        res = closed_n(params("lucas", i, k), p)
         assert not res.covered
         assert res.value is None
+        assert str(res.tag) == f"none/lucas n: no closed form at i={i} k={k} p={p}"
 
 
 def test_fib_p0_r0_corner_not_covered():
-    res = gp_fib(params("fib", 3, 3), 0)  # r = 0 at level 0: excluded corner
+    res = closed_g(params("fib", 3, 3), 0)  # r = 0 at level 0: excluded corner
     assert not res.covered
 
 

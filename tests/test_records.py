@@ -4,7 +4,6 @@ import pytest
 
 from froblab import (
     AperySet,
-    BranchDiscriminant,
     CaseTag,
     Cell,
     Computation,
@@ -32,7 +31,6 @@ RECORDS = [
     ),
     (CaseTag, ("Thm2", "k=i", True), ("theorem", "branch", "verbatim")),
     (FormulaResult, (233, TAG), ("value", "tag")),
-    (BranchDiscriminant, (42, 8), ("lhs", "rhs")),
     (Computation, (233, "closed", TAG), ("value", "path", "tag")),
     (DenumerantTable, (GENS, 2, [1, 0, 0]), ("gens", "limit", "counts")),
     (Cell, (1, 0, 21, 5, 1), ("x", "y", "value", "residue", "level")),
