@@ -97,6 +97,34 @@ def test_level_and_index_domain_errors(fn, args, message):
         fn(*args)
 
 
+# closed_g/closed_n dispatch on pr.kind, so a triple reads its own family's
+# theorems (all of them, over this grid) and misses under its own family's name
+@pytest.mark.parametrize(
+    "fn, kind, theorems",
+    [
+        (closed_g, "fib", {"Thm2", "Thm3", "Thm4", "Thm5", "Prop"}),
+        (closed_g, "lucas", {"Thm1", "Thm6", "Thm7", "Thm8", "Thm9"}),
+        (closed_n, "fib", {"N1", "N2", "N3", "Np"}),
+        (closed_n, "lucas", set()),
+    ],
+    ids=["closed_g-fib", "closed_g-lucas", "closed_n-fib", "closed_n-lucas"],
+)
+def test_closed_entries_answer_from_their_own_family(fn, kind, theorems):
+    quantity = "g" if fn is closed_g else "n"
+    seen, misses = set(), 0
+    for i in range(3, 9):
+        for k in range(3, 13):
+            for p in range(7):
+                res = fn(params(kind, i, k), p)
+                if res.covered:
+                    seen.add(res.tag.theorem)
+                else:
+                    misses += 1
+                    assert res.tag.branch.startswith(f"{kind} {quantity}: ")
+    assert seen == theorems
+    assert misses > 0
+
+
 @pytest.mark.parametrize("general", [_gp_general, _np_general])
 def test_general_formulas_refuse_r_below_p(general):
     pr = params("fib", 6, 4)  # r = 2
