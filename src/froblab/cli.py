@@ -212,12 +212,17 @@ def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None)
     if not set(spec.quantities) <= set(_QUANTITIES):
         raise ValueError(f"quantities must be from {_QUANTITIES}, got {spec.quantities!r}")
     levels = range(spec.p_lo, spec.p_hi + 1)
-    if levels and spec.p_lo < 0:
+    if not levels:
+        raise ValueError(f"--p {spec.p_lo}..{spec.p_hi} selects no level")
+    if spec.p_lo < 0:
         raise ValueError(f"p must be >= 0, got {spec.p_lo}")
-    top = spec.largest() if levels else None  # checked before the grid is listed
-    if top:
-        _check_grid(spec.kinds, spec.i_lo, *top, spec.p_hi)
-    triples = spec.triples() if top else []
+    if spec.i_lo > spec.i_hi:
+        raise ValueError(f"--i {spec.i_lo}..{spec.i_hi} selects no index")
+    top = spec.largest()  # checked before the grid is listed
+    if top is None:
+        raise ValueError(f"--k selects no k at any i of {spec.i_lo}..{spec.i_hi}")
+    _check_grid(spec.kinds, spec.i_lo, *top, spec.p_hi)
+    triples = spec.triples()
     # looked up per call, so that bench/trace_child.py's wrappers by name see each one
     forms = {qty: closed_g if qty == "g" else closed_n for qty in spec.quantities}
     rows: list[Row] = []
@@ -239,9 +244,12 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
     if levels and p_lo < 0:
         raise ValueError(f"p must be >= 0, got {p_lo}")
     thresholds = {p: h for p in levels if (h := proposition_h(p)) is not None}
-    if thresholds and i_values:  # the least and the largest triple, before any walk
-        i_top = max(i_values)
-        _check_grid(("fib",), min(i_values), i_top, i_top + max(thresholds.values()) + 1, max(thresholds))
+    if not thresholds:
+        raise ValueError(f"--p {p_lo}..{p_hi} selects no level with a threshold")
+    if not i_values:
+        raise ValueError("--i selects no index")
+    i_top = max(i_values)  # the least and the largest triple, before any walk
+    _check_grid(("fib",), min(i_values), i_top, i_top + max(thresholds.values()) + 1, max(thresholds))
     checked_at: dict[tuple[int, int], list[int]] = {}  # (i, k) -> its levels, ascending
     for p, h in thresholds.items():
         for i in i_values:
@@ -280,12 +288,14 @@ def _parse_gens(text: str) -> GeneratorTuple:
     return GeneratorTuple(nums)
 
 
-def _parse_int_span(flag: str, text: str) -> tuple[int, int]:
-    """``N`` or ``N..M``; ``flag`` names the option in the error."""
+def _parse_span(flag: str, text: str, end: Callable = integer) -> tuple:
+    """``N`` or ``N..M``, each end read by ``end``; an :func:`integer` end's error names ``flag``."""
     lo, sep, hi = text.partition("..")
     try:
-        return (integer(lo), integer(hi)) if sep else (integer(text),) * 2
+        return (end(lo), end(hi)) if sep else (end(text),) * 2
     except ValueError:
+        if end is not integer:  # _parse_k_bound's error names the bound
+            raise
         raise ValueError(f"bad {flag} range {text!r}: expected N or N..M") from None
 
 
@@ -302,14 +312,6 @@ def _parse_k_bound(tok: str) -> tuple[Optional[str], int]:
     except ValueError:
         pass
     raise ValueError(f"bad k bound {tok!r}: --k takes N, i, i+N or i-N")
-
-
-def _parse_k_span(text: str) -> tuple[tuple[Optional[str], int], tuple[Optional[str], int]]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        b = _parse_k_bound(text)
-        return b, b
-    return _parse_k_bound(lo), _parse_k_bound(hi)
 
 
 # flags whose value may be a list or range; argparse reads such a value that
@@ -401,8 +403,8 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     t0 = time.monotonic()
     if args.proposition:
-        p_lo, p_hi = (0, 6) if args.p is None else _parse_int_span("--p", args.p)
-        i_lo, i_hi = (3, 5) if args.i is None else _parse_int_span("--i", args.i)
+        p_lo, p_hi = (0, 6) if args.p is None else _parse_span("--p", args.p)
+        i_lo, i_hi = (3, 5) if args.i is None else _parse_span("--i", args.i)
         report = run_proposition(p_lo, p_hi, range(i_lo, i_hi + 1))
     else:
         kinds = ("fib", "lucas") if args.kind == "both" else (args.kind,)
@@ -410,11 +412,11 @@ def _cmd_verify(args) -> int:
         # a range left out keeps SweepSpec's default
         grid = {"kinds": kinds, "quantities": quantities}
         if args.i is not None:
-            grid["i_lo"], grid["i_hi"] = _parse_int_span("--i", args.i)
+            grid["i_lo"], grid["i_hi"] = _parse_span("--i", args.i)
         if args.k is not None:
-            grid["k_lo"], grid["k_hi"] = _parse_k_span(args.k)
+            grid["k_lo"], grid["k_hi"] = _parse_span("--k", args.k, _parse_k_bound)
         if args.p is not None:
-            grid["p_lo"], grid["p_hi"] = _parse_int_span("--p", args.p)
+            grid["p_lo"], grid["p_hi"] = _parse_span("--p", args.p)
         report = run_sweep(SweepSpec(**grid), progress=lambda m: _note(args, m))
 
     mismatches = [r._asdict() for r in report.mismatches]
@@ -546,20 +548,18 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
+    old_limit = None
     try:
         args = parser.parse_args(_join_dashed_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:  # argparse already printed the message
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # A closed form multiplies terms near MAX_INDEX, so a printed value can
-    # pass the interpreter's 4,300-digit str() limit; the inputs are already
-    # parsed and bounded, so lift it for this call only.
-    old_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if old_limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
+        # A closed form multiplies terms near MAX_INDEX, so a printed value can
+        # pass the interpreter's 4,300-digit str() limit; the inputs are now
+        # parsed and bounded, so lift it for this call only.
+        old_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if old_limit is not None:
+            sys.set_int_max_str_digits(0)
         _validate(args, parser)
         return args.func(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse already printed the message
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except TupleValidationError as exc:
         print(f"froblab: invalid tuple: {exc}", file=sys.stderr)

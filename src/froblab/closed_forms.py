@@ -73,7 +73,7 @@ class TripleParams(NamedTuple):
 
 def params(kind: "SequenceKind | str", i: int, k: int) -> TripleParams:
     """The one constructor of :class:`TripleParams`; refuses ``i < 3`` or ``k < 3``."""
-    kind = SequenceKind.parse(kind)
+    kind = SequenceKind(kind)
     if i < 3:
         raise ValueError(f"i must be >= 3, got {i}")
     if k < 3:

@@ -62,10 +62,6 @@ class GeneratorTuple(tuple):
         """Smallest generator (the modulus used by residue arguments)."""
         return self[0]
 
-    @property
-    def a2(self) -> int:
-        return self[1]
-
     def __repr__(self) -> str:
         return f"GeneratorTuple(gens={self[:]!r})"
 

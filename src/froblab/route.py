@@ -4,8 +4,8 @@
 ``"oracle"`` reads the Apery set that :mod:`froblab.apery` walks, and
 ``"auto"`` takes the closed form where a branch covers the point and walks
 otherwise.  A closed form exists only for a family triple
-``(x_i, x_{i+2}, x_{i+k})``; any other tuple is walked.  This is the only
-module that imports both routes, and neither route imports the other.
+``(x_i, x_{i+2}, x_{i+k})``; any other tuple is walked.  This is where
+:func:`compute` picks a route, and neither route imports the other.
 """
 
 from __future__ import annotations

@@ -19,24 +19,6 @@ class SequenceKind(Enum):
     FIBONACCI = "fib"
     LUCAS = "lucas"
 
-    @classmethod
-    def parse(cls, value: "SequenceKind | str") -> "SequenceKind":
-        """Accept a member, its value, or a common alias (case-insensitive)."""
-        if isinstance(value, SequenceKind):
-            return value
-        try:
-            return _ALIASES[str(value).strip().lower()]
-        except KeyError:
-            raise ValueError(f"unknown sequence kind: {value!r}") from None
-
-
-_ALIASES = {
-    "fib": SequenceKind.FIBONACCI,
-    "fibonacci": SequenceKind.FIBONACCI,
-    "f": SequenceKind.FIBONACCI,
-    "lucas": SequenceKind.LUCAS,
-    "l": SequenceKind.LUCAS,
-}
 
 # The largest index served.  It bounds the size of a term (fib(20000) and
 # lucas(20000) have 4,180 digits) and so the work of the closed forms, which
@@ -78,7 +60,7 @@ def lucas(n: int) -> int:
 
 
 def seq(kind: SequenceKind | str, n: int) -> int:
-    """Term ``n`` of the sequence selected by ``kind``."""
-    if SequenceKind.parse(kind) is SequenceKind.FIBONACCI:
+    """Term ``n`` of the sequence selected by ``kind``, a member or its value."""
+    if SequenceKind(kind) is SequenceKind.FIBONACCI:
         return fib(n)
     return lucas(n)

@@ -249,9 +249,9 @@ def test_verify_grid_over_index_bound_is_refused_before_any_walk(capsys, monkeyp
     code, out, err = run_cli(capsys, "verify", "--i", "3..20000", "--k", "3..3", "--p", "0", "--quiet")
     assert (code, out) == (2, "")
     assert "over the bound of 20000" in err
-    # an empty grid has no largest triple and still exits 0
+    # an empty grid has no largest triple and is refused, also before any walk
     code, out, _ = run_cli(capsys, "verify", "--i", "3..40", "--k", "1..2", "--quiet")
-    assert code == 0 and out.startswith("checked 0 values")
+    assert (code, out) == (2, "")
 
 
 _BOUNDS = st.tuples(st.sampled_from([None, "i"]), st.integers(-6, 12))
@@ -379,9 +379,9 @@ def test_sweep_refuses_unknown_quantity_before_listing(monkeypatch):
 
 
 def test_k_bounds_that_parse():
-    assert cli._parse_k_span("3..i+5") == ((None, 3), ("i", 5))
-    assert cli._parse_k_span(" i - 1 .. i ") == (("i", -1), ("i", 0))
-    assert cli._parse_k_span("7") == ((None, 7), (None, 7))
+    assert cli._parse_span("--k", "3..i+5", cli._parse_k_bound) == ((None, 3), ("i", 5))
+    assert cli._parse_span("--k", " i - 1 .. i ", cli._parse_k_bound) == (("i", -1), ("i", 0))
+    assert cli._parse_span("--k", "7", cli._parse_k_bound) == ((None, 7), (None, 7))
 
 
 @pytest.mark.parametrize("flag, value, err", [
@@ -412,8 +412,22 @@ def test_verify_rejects_index_below_three(capsys, kind):
     )
     assert (code, out) == (2, "")
     assert "i must be >= 3, got 2" in err
-    # an empty grid has no index to check
-    assert run_cli(capsys, "verify", "--kind", kind, "--i", "2..1", "--quiet")[0] == 0
+    # an empty grid has no index to check, and is refused for that
+    assert run_cli(capsys, "verify", "--kind", kind, "--i", "2..1", "--quiet")[0] == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--p", "4..2"), "--p"),
+    (("--i", "9..3"), "--i"),
+    (("--i", "3..40", "--k", "1..2"), "--k"),
+    (("--proposition", "--p", "0..2"), "--p"),  # no level with a threshold
+    (("--proposition", "--i", "5..3"), "--i"),
+])
+def test_verify_refuses_a_range_that_selects_nothing(capsys, argv, flag):
+    # checking nothing is not a passed check
+    code, out, err = run_cli(capsys, "verify", *argv, "--quiet")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"froblab: {flag} ") and " selects no " in err
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
@@ -513,8 +527,8 @@ def test_proposition_rejects_negative_level(capsys):
     code, out, err = run_cli(capsys, "verify", "--proposition", "--p=-3..-1", "--quiet")
     assert (code, out) == (2, "")
     assert "p must be >= 0, got -3" in err
-    # an empty range has no level to check
-    assert run_cli(capsys, "verify", "--proposition", "--p=-1..-3", "--quiet")[0] == 0
+    # an empty range has no level to check, and is refused for that
+    assert run_cli(capsys, "verify", "--proposition", "--p=-1..-3", "--quiet")[0] == 2
 
 
 def test_proposition_failure_at_i3_prints_as_verbatim(capsys):
@@ -769,16 +783,49 @@ def test_index_at_bound_still_prints(capsys, kind):
 
 
 @contextlib.contextmanager
-def _no_digit_limit():
-    """Lift the int/str digit limit, where there is one, inside the block."""
+def _digit_limit(limit):
+    """Set the int/str digit limit, where there is one, to ``limit`` (0 lifts it) inside the block."""
     old = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if old is not None:
-        sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
         if old is not None:
             sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("seq", "--kind", "fib", "--n", "10"), 0),
+    (("--help",), 0),
+    (("seq", "--kind", "fib"), 2),  # argparse's own error
+    (("seq", "--kind", "fib", "--n", "20001"), 2),  # a ValueError refusal
+    (("verify", "--i", "3..3", "--k", "3..3", "--p", "0..0", "--quiet"), 5),  # an AssertionError
+], ids=["success", "help", "argparse-error", "refusal", "internal-error"])
+def test_every_exit_puts_the_digit_limit_back(capsys, monkeypatch, argv, expected):
+    def broken(*args):
+        raise AssertionError("invariant broke")
+
+    monkeypatch.setattr(cli, "_sweep_point", broken)
+    with _digit_limit(4321):  # a limit that no run sets by itself
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert run_cli(capsys, *argv)[0] == expected
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_over_long_integer_stays_a_parse_error(capsys):
+    # The limit is lifted only after argparse has read the integers.
+    code, out, err = run_cli(capsys, "seq", "--kind", "fib", "--n", "1" * 4301)
+    assert (code, out) == (2, "")
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4301:
+        assert "argument --n: invalid integer value" in err
+
+
+def test_runs_without_a_digit_limit(capsys, monkeypatch):
+    # Python 3.10.0 to 3.10.6 have no int/str digit limit to lift.
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert run_cli(capsys, "seq", "--kind", "fib", "--n", "10") == (0, "55\n", "")
 
 
 @pytest.mark.parametrize("method, fmt", [("closed", "text"), ("auto", "json")])
@@ -793,7 +840,7 @@ def test_large_closed_form_value_prints(capsys, method, fmt):
     assert (code, err) == (0, "")
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
     expected = closed_g(params("fib", 15000, 4), 0).value
-    with _no_digit_limit():
+    with _digit_limit(0):
         assert len(str(expected)) == 6270
         if fmt == "json":
             assert json.loads(out)["results"][0]["value"] == expected
@@ -805,7 +852,8 @@ def test_large_closed_form_value_prints(capsys, method, fmt):
 
 # stdout sha256 and exit code of 75 command lines (5 commands x 3 formats),
 # recorded before the output writers were shared, so that refactors of the
-# writers can show they print the same bytes.
+# writers can show they print the same bytes.  The six empty verify grids
+# were re-pinned to exit 2 and empty stdout when verify began refusing them.
 PINNED = json.loads((FIXTURES / "cli_stdout_sha256.json").read_text())
 
 

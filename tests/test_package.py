@@ -6,6 +6,8 @@ import shlex
 import tokenize
 from pathlib import Path
 
+import pytest
+
 import froblab
 from froblab import cli
 
@@ -54,6 +56,13 @@ def test_removed_wrappers_are_gone():
         for module in MODULES:
             assert not hasattr(importlib.import_module(f"froblab.{module}"), name), (module, name)
     assert not hasattr(froblab.GeneratorTuple, "of")
+    assert not hasattr(froblab.GeneratorTuple, "a2")
+    assert not hasattr(froblab.SequenceKind, "parse")
+    assert not hasattr(cli, "_parse_k_span")
+    # a kind is a member or its value, "fib" or "lucas"; no alias or other case
+    for text in ("Fibonacci", "f", "l", "LUCAS", " lucas "):
+        with pytest.raises(ValueError):
+            froblab.SequenceKind(text)
 
 
 def test_package_denumerant_is_the_function():

@@ -98,7 +98,7 @@ def test_generator_tuple_sorts_and_behaves_as_a_tuple():
     tup = GeneratorTuple([55, 8, 21])
     assert tup.gens == (8, 21, 55)
     assert type(tup.gens) is tuple
-    assert (tup.a1, tup.a2) == (8, 21)
+    assert (tup.a1, tup[1]) == (8, 21)
     assert len(tup) == 3
     assert list(tup) == [8, 21, 55]
     assert tup == GeneratorTuple((21, 55, 8)) == (8, 21, 55)

