@@ -339,36 +339,23 @@ def _note(args, text: str) -> None:
 # ----------------------------------------------------------------------
 # output formats: json and csv are imported only by the run that writes them
 
-def _json_text(doc, indent: Optional[int] = 2) -> str:
-    """Sorted keys, ``indent`` spaces (one line when None), trailing newline."""
-    import json
-
-    return json.dumps(doc, sort_keys=True, indent=indent) + "\n"
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
-
-
 def _csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A header row, then one line per row, each cell through :func:`_csv_cell`."""
+    """A header row, then one line per row; ``None`` is an empty cell."""
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 def _write(args, doc, columns, rows, text: str, indent: Optional[int] = 2) -> None:
     """Emit one command's result as ``doc``, as ``rows`` under ``columns``, or as ``text``."""
     if args.format == "json":
-        text = _json_text(doc, indent)
+        import json
+
+        text = json.dumps(doc, sort_keys=True, indent=indent) + "\n"
     elif args.format == "csv":
         text = _csv_text(columns, rows)
     sys.stdout.write(text)
@@ -421,7 +408,9 @@ def _cmd_verify(args) -> int:
 
     mismatches = [r._asdict() for r in report.mismatches]
     doc = {"summary": report.summary(), "mismatches": mismatches, "ok": report.ok}
-    _write(args, doc, Row._fields[:-1], (r[:-1] for r in report.rows), report.to_text())
+    spelled = {True: "true", False: "false", None: None}  # the only boolean any CSV holds
+    rows = ((*r[:-2], spelled[r.match]) for r in report.rows)
+    _write(args, doc, Row._fields[:-1], rows, report.to_text())
     _note(args, f"wall time: {time.monotonic() - t0:.2f}s")
     return EXIT_OK if report.ok else EXIT_MISMATCH
 

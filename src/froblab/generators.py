@@ -43,9 +43,7 @@ class GeneratorTuple(tuple):
         if len(set(items)) != len(items):
             raise TupleValidationError(f"duplicate generators in {sorted(items)}")
         items.sort()
-        common = 0
-        for g in items:
-            common = gcd(common, g)
+        common = gcd(*items)
         if common != 1:
             raise TupleValidationError(
                 f"generators {tuple(items)} share the common divisor {common}"

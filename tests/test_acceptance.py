@@ -143,7 +143,7 @@ def test_criterion_06_frobenius_sweeps_match_oracle():
     assert wall < 60.0, f"took {wall:.1f}s single-threaded"
     print(
         f"criterion 6: PASS — g sweeps clean "
-        f"(fib {fib_report.covered} covered, lucas {lucas_report.covered} covered, "
+        f"(fib {len(fib_report.covered)} covered, lucas {len(lucas_report.covered)} covered, "
         f"{wall:.1f}s)"
     )
 
