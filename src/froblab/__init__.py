@@ -5,7 +5,7 @@ Fibonacci/Lucas triple families admit them (``closed_forms``), and an exact
 Apery-set walk everywhere (``apery``) — plus the dense count table
 (``denumerant``) that the tests hold both against.  The three import none of
 each other: they share only the tuple types of ``generators`` and the terms of
-``sequences``.  ``route`` is where :func:`compute` picks a route to a value.
+``sequences``.  ``route`` is the one map from a quantity to its two routes.
 
 The package re-exports each module's ``__all__``.  The lists are bound
 under private names: ``froblab.denumerant`` is the function of that name,

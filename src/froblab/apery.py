@@ -36,10 +36,8 @@ otherwise their later trips round the cycle are merged in.  The second
 walks the cycle once, merging each residue's list with its settled
 predecessor's shifted by ``a_j``, and skips the merge when the list is full
 and no arrival is smaller than its last value.  One call gives every level
-``0..p`` for ``O(l*a_1*(p+1)*log(a_1*(p+1)))`` integer operations;
-:data:`VALUE_BUDGET` bounds ``(a_1+11)*(p+2)``: the values, one slot per
-residue for its list, and eleven per level for what each level costs
-besides its values.
+``0..p`` for ``O(l*a_1*(p+1)*log(a_1*(p+1)))`` integer operations, and is
+refused beforehand past :data:`VALUE_BUDGET`.
 """
 
 from __future__ import annotations
@@ -57,16 +55,19 @@ from .generators import DegenerateTupleError, GeneratorTuple
 __all__ = ["VALUE_BUDGET", "AperySet", "apery_levels"]
 
 
-# The most one residue walk may hold, counted as (a_1 + _LEVEL_CHARGE)*(p_max + 2):
-# a_1 values per level plus one per residue, whose own list costs about as much
-# as 1.3 values, plus _LEVEL_CHARGE per level.  A level also costs its tuple and
-# its AperySet, and past two generators the walk merges p_max + 1 rounds of each
-# cycle at once.  At a_1 = 2 that is nearly all of it: charged a_1*(p_max + 2),
-# compute --gens 2,3 --p 2000000 peaked at 506 MB, twice the largest call
-# admitted at large a_1.  _LEVEL_CHARGE is the least that keeps the largest
-# admitted calls at a_1 = 2 and 3 under that one.  Checked before anything is
-# allocated; the README gives the time and peak memory of the largest family
-# calls it admits.
+# The most one residue walk may hold, counted as
+# (a_1 + _LEVEL_CHARGE)*(p_max + 2) + a_1*p_max//3.  That is a_1 values per level
+# plus one per residue, whose own list costs about as much as 1.3 values, plus
+# _LEVEL_CHARGE per level, plus a third for each value past a residue's first:
+# a value past 2**30 is a sum, whose spare digit takes it from a 32- to a 48-byte
+# block, and without that third compute --kind fib --i 26 --k 4 --p 39 (a_1 =
+# 121,393) peaked at 317 MB, against 253 MB for the largest call admitted at
+# p_max = 0.  A level also costs its tuple and its AperySet, and past two
+# generators the walk merges p_max + 1 rounds of each cycle at once.  At a_1 = 2
+# that is nearly all of it: charged a_1*(p_max + 2), compute --gens 2,3 --p
+# 2000000 peaked at 506 MB, twice the largest call admitted at large a_1.
+# Checked before anything is allocated; the README gives the time and peak
+# memory of the largest family calls it admits.
 VALUE_BUDGET = 5_000_000
 _LEVEL_CHARGE = 11
 # A cycle's list heads are sorted this many at a time, keeping the p_max + 1
@@ -197,11 +198,11 @@ def _short(n: int) -> str:
 
 def _check_budget(a1: int, p_max: int) -> None:
     """``ValueError`` if a walk with ``a_1 = a1`` to level ``p_max`` is over :data:`VALUE_BUDGET`."""
-    need = (a1 + _LEVEL_CHARGE) * (p_max + 2)
+    need = (a1 + _LEVEL_CHARGE) * (p_max + 2) + a1 * p_max // 3
     if need > VALUE_BUDGET:
         raise ValueError(
-            f"a_1 = {_short(a1)} at levels 0..{_short(p_max)} needs "
-            f"(a_1+{_LEVEL_CHARGE})*(p_max+2) = {_short(need)}, over the budget of {VALUE_BUDGET}"
+            f"a_1 = {_short(a1)} at levels 0..{_short(p_max)} needs (a_1+{_LEVEL_CHARGE})*(p_max+2) "
+            f"+ a_1*p_max//3 = {_short(need)}, over the budget of {VALUE_BUDGET}"
         )
 
 
@@ -212,7 +213,7 @@ def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[Ap
     that asks for ``g`` and then ``n`` of one tuple, and a sweep over many
     tuples holds one walk at a time.  Raises :class:`DegenerateTupleError`
     when the smallest generator is 1, and ``ValueError`` before allocating
-    anything when ``(a_1 + 11) * (p_max + 2)`` exceeds :data:`VALUE_BUDGET`.
+    anything when the walk's charge exceeds :data:`VALUE_BUDGET`.
     """
     tup = GeneratorTuple(gens)
     if p_max < 0:

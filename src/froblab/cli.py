@@ -7,41 +7,36 @@ timing go to stderr and are suppressed by ``--quiet``.
 Exit codes: 0 success, 1 verification found mismatches, 2 invalid
 arguments, 3 degenerate tuple (smallest generator is 1), 4 closed form
 demanded (``--method closed``) where none is covered, 5 internal error
-(an invariant check failed; a bug, not bad input).
+(an invariant check failed; a bug, not bad input).  A stdout that its reader
+closes before the output is written exits 0 with nothing on stderr, never 1.
 
-Every command answers from at most one residue walk (``exact`` from levels
-``p - 1`` and ``p``), which refuses, with exit 2 and before allocating, a
-tuple whose ``(a_1 + 11) * (p + 2)`` exceeds :data:`froblab.apery.VALUE_BUDGET`
-(5,000,000); ``table`` also refuses a box of more cells than that.  A
-sequence index above :data:`froblab.sequences.MAX_INDEX` (20,000) is
-refused the same way, by ``verify`` for its grid's largest triple before
-its first walk.  ``compute`` takes its route from
-:func:`froblab.route.compute`, for ``--gens`` and ``--kind`` alike.  Every
-command except ``table`` writes through :func:`_write`.
+Every command answers from at most one residue walk, taken through
+:mod:`froblab.route`, or :func:`froblab.tables.build_table` for ``table``; a
+walk, box or sequence index over its bound exits 2 before allocating, and
+``verify`` checks its grid before the first walk.  Every command except
+``table`` writes through :func:`_write`.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
 import re
 import sys
 import time
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .apery import _check_budget, apery_levels
 from .closed_forms import (
     NotCoveredError,
     TripleParams,
-    closed_g,
-    closed_n,
     params,
     proposition_g,
     proposition_h,
 )
 from .generators import DegenerateTupleError, GeneratorTuple, TupleValidationError
-from .route import compute
-from .sequences import _check_index, seq
+from .route import _QUANTITIES, _check_grid, _largest_with_exactly, _side_by_side, compute
+from .sequences import seq
 from .tables import Cell, build_table, export_json, render_ascii
 
 __all__ = ["main", "run", "SweepSpec", "VerifyReport", "run_sweep", "run_proposition"]
@@ -52,8 +47,6 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_NOT_COVERED = 4
 EXIT_INTERNAL = 5
-
-_QUANTITIES = ("g", "n")
 
 
 # ----------------------------------------------------------------------
@@ -119,19 +112,15 @@ class Row(NamedTuple):
     verbatim: bool
 
 
-def _sweep_point(pr: TripleParams, levels: Sequence[int],
-                 forms: Mapping[str, Callable]) -> list[Row]:
-    """Rows for one triple at every level of ``levels`` (ascending), from one oracle call,
-    each quantity of ``forms`` checked against its closed form ``forms[qty](pr, p)``."""
-    asets = apery_levels(pr.gens, levels[-1])
+def _sweep_point(pr: TripleParams, levels: Sequence[int], quantities: Sequence[str],
+                 form: Optional[Callable] = None) -> list[Row]:
+    """Rows for one triple at every level of ``levels`` (ascending), from one walk, each
+    quantity checked against its closed form, or against ``form`` if given."""
     rows = []
-    for p in levels:
-        for qty, form in forms.items():
-            res = form(pr, p)
-            oracle = asets[p].frobenius() if qty == "g" else asets[p].sylvester()
-            match = (res.value == oracle) if res.covered else None
-            rows.append(Row(pr.kind.value, pr.i, pr.k, p, pr.r, pr.ell, qty, res.value, oracle,
-                            str(res.tag), match, res.tag.verbatim))
+    for p, qty, res, oracle in _side_by_side(pr, levels, quantities, form):
+        match = (res.value == oracle) if res.covered else None
+        rows.append(Row(pr.kind.value, pr.i, pr.k, p, pr.r, pr.ell, qty, res.value, oracle,
+                        str(res.tag), match, res.tag.verbatim))
     return rows
 
 
@@ -193,20 +182,6 @@ class VerifyReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _check_grid(kinds: Iterable[str], i_lo: int, i: int, k: int, p_max: int) -> None:
-    """Refuse a grid whose least index ``i_lo`` is below 3, or whose largest triple
-    ``(x_i, x_{i+2}, x_{i+k})`` of a kind in ``kinds`` is over a bound.
-
-    The index bound is checked on ``i + k`` before any term is computed, and
-    the budget charges ``x_i`` alone.
-    """
-    if i_lo < 3:
-        raise ValueError(f"i must be >= 3, got {i_lo}")
-    _check_index(i + k)
-    for kind in kinds:
-        _check_budget(seq(kind, i), p_max)
-
-
 def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None) -> VerifyReport:
     """Evaluate closed forms against the Apery oracle over a grid."""
     if not set(spec.quantities) <= set(_QUANTITIES):
@@ -223,11 +198,9 @@ def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None)
         raise ValueError(f"--k selects no k at any i of {spec.i_lo}..{spec.i_hi}")
     _check_grid(spec.kinds, spec.i_lo, *top, spec.p_hi)
     triples = spec.triples()
-    # looked up per call, so that bench/trace_child.py's wrappers by name see each one
-    forms = {qty: closed_g if qty == "g" else closed_n for qty in spec.quantities}
     rows: list[Row] = []
     for idx, (kind, i, k) in enumerate(triples):
-        rows.extend(_sweep_point(params(kind, i, k), levels, forms))
+        rows.extend(_sweep_point(params(kind, i, k), levels, spec.quantities))
         if progress and (idx + 1) % 10 == 0:
             progress(f"{idx + 1}/{len(triples)} triples")
     return VerifyReport(rows)
@@ -257,7 +230,7 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
                 checked_at.setdefault((i, k), []).append(p)
     rows = []
     for (i, k), ps in checked_at.items():  # one walk per triple, to its highest level
-        rows += _sweep_point(params("fib", i, k), ps, {"g": proposition_g})
+        rows += _sweep_point(params("fib", i, k), ps, ("g",), proposition_g)
     rows.sort(key=lambda r: (r.p, r.i, r.k))
     return VerifyReport(rows)
 
@@ -428,11 +401,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_exact(args) -> int:
     tup = _parse_gens(args.gens)
-    # In residue class j, d(n) counts the levels q with e_q(j) <= n, so with
-    # e_{-1} := 0 the largest n there with exactly p is e_p(j) - a1 if >= e_{p-1}(j).
-    levels = [s.elements for s in apery_levels(tup, args.p)]
-    below = levels[-2] if args.p else (0,) * tup.a1
-    value = max((top - tup.a1 for low, top in zip(below, levels[-1]) if top - low >= tup.a1), default=None)
+    value = _largest_with_exactly(tup, args.p)
     shown = "none" if value is None else str(value)
     text = f"largest n with exactly {args.p} representations: {shown}\n"
     doc = {"gens": list(tup.gens), "p": args.p, "value": value}
@@ -571,4 +540,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+    except BrokenPipeError:  # the idiom of the Note on SIGPIPE in the signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    raise SystemExit(code)

@@ -254,16 +254,17 @@ def test_walk_refuses_over_budget_before_allocating():
     # a1 * (p_max + 2): 2000000014 here, far past the budget.
     with pytest.raises(ValueError, match="over the budget"):
         apery_levels((1000000007, 1000000009), 0)
-    # The charge is (a1 + 11)*(p_max + 2): the least a1 refused at p_max = 10,
-    # and at p_max = 0; one less is admitted.
-    for a1, p_max in ((VALUE_BUDGET // 12 + 1 - 11, 10), (VALUE_BUDGET // 2 + 1 - 11, 0)):
+    # The charge is (a1 + 11)*(p_max + 2) + a1*p_max//3: the least a1 refused
+    # at p_max = 10 (12*326090 + 1086930 = 5000010), and at p_max = 0, where
+    # the third adds nothing; one less is admitted.
+    for a1, p_max in ((326079, 10), (VALUE_BUDGET // 2 + 1 - 11, 0)):
         with pytest.raises(ValueError, match="over the budget"):
             apery_levels((a1, a1 + 1), p_max)
         _check_budget(a1 - 1, p_max)
-    # at a1 = 2 the per-level charge sets the top level: 13 * 384615 = 4999995
-    _check_budget(2, 384613)
-    with pytest.raises(ValueError, match=r"\(a_1\+11\)\*\(p_max\+2\) = 5000008, over the budget"):
-        _check_budget(2, 384614)
+    # at a1 = 2 the per-level charge sets the top level: 13*365853 + 243900 = 4999989
+    _check_budget(2, 365851)
+    with pytest.raises(ValueError, match=r"\(a_1\+11\)\*\(p_max\+2\) \+ a_1\*p_max//3 = 5000003, over"):
+        _check_budget(2, 365852)
 
 
 def test_level_monotonicity_on_family_triples():

@@ -17,9 +17,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from froblab import cli, tables
+from froblab import cli, route, tables
 from froblab.apery import _apery_elements
-from froblab.closed_forms import closed_g, params
+from froblab.closed_forms import NotCoveredError, closed_g, params
 from froblab.denumerant import largest_with_exactly_p, p_frobenius_scan, p_sylvester_scan
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -236,8 +236,8 @@ def test_over_budget_message_names_long_numbers_by_digit_count(capsys):
     code, out, err = run_cli(capsys, "verify", "--i", "3..8000", "--p", "0")
     assert (code, out) == (2, "")
     assert err == (
-        "froblab: a_1 = (1672 digits) at levels 0..0 needs (a_1+11)*(p_max+2) = (1672 digits), "
-        "over the budget of 5000000\n"
+        "froblab: a_1 = (1672 digits) at levels 0..0 needs (a_1+11)*(p_max+2) "
+        "+ a_1*p_max//3 = (1672 digits), over the budget of 5000000\n"
     )
 
 
@@ -245,7 +245,7 @@ def test_verify_grid_over_index_bound_is_refused_before_any_walk(capsys, monkeyp
     def walked(*args):
         raise AssertionError("walked a triple")
 
-    monkeypatch.setattr(cli, "_sweep_point", walked)
+    monkeypatch.setattr(route, "apery_levels", walked)
     code, out, err = run_cli(capsys, "verify", "--i", "3..20000", "--k", "3..3", "--p", "0", "--quiet")
     assert (code, out) == (2, "")
     assert "over the bound of 20000" in err
@@ -434,7 +434,7 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     def broken(*args):
         raise AssertionError("invariant broke")
 
-    monkeypatch.setattr(cli, "_sweep_point", broken)
+    monkeypatch.setattr(route, "apery_levels", broken)
     code, out, err = run_cli(
         capsys, "verify", "--i", "3..3", "--k", "3..3", "--p", "0..0", "--quiet",
     )
@@ -460,6 +460,23 @@ def test_a_report_is_a_function_of_its_grid():
     assert first.rows and first == cli.run_sweep(spec)
     first = cli.run_proposition(0, 6, range(3, 5))
     assert first.rows and first == cli.run_proposition(0, 6, range(3, 5))
+
+
+def test_verify_rows_are_what_compute_answers_by_each_route(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--kind", "both", "--what", "both", "--i", "3..5",
+                           "--k", "3..i+2", "--p", "0..3", "--format", "csv", "--quiet")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 1 and len(rows) == 2 * 2 * 4 * 12  # kinds, quantities, levels, triples
+    assert {row["match"] for row in rows} == {"true", "false", ""}  # N3 misses at k = i + 1
+    for row in rows:
+        pr, q, p = params(row["kind"], int(row["i"]), int(row["k"])), row["quantity"], int(row["p"])
+        assert int(row["oracle_value"]) == route.compute(q, pr, p, "oracle").value
+        if row["match"]:
+            assert int(row["closed_value"]) == route.compute(q, pr, p, "closed").value
+        else:
+            assert row["closed_value"] == ""
+            with pytest.raises(NotCoveredError):
+                route.compute(q, pr, p, "closed")
 
 
 @pytest.mark.parametrize("extra", [(), ("--proposition",)])
@@ -497,13 +514,13 @@ def test_verify_proposition(capsys):
 
 def test_verify_proposition_walks_each_triple_once(capsys, monkeypatch):
     walks = []
-    real = cli.apery_levels
+    real = route.apery_levels
 
     def counted(gens, p_max):
         walks.append((tuple(gens), p_max))
         return real(gens, p_max)
 
-    monkeypatch.setattr(cli, "apery_levels", counted)
+    monkeypatch.setattr(route, "apery_levels", counted)
     code, out, _ = run_cli(capsys, "verify", "--proposition", "--p", "0..6", "--i", "3..5",
                            "--format", "json", "--quiet")
     assert code == 0
@@ -806,7 +823,7 @@ def test_every_exit_puts_the_digit_limit_back(capsys, monkeypatch, argv, expecte
     def broken(*args):
         raise AssertionError("invariant broke")
 
-    monkeypatch.setattr(cli, "_sweep_point", broken)
+    monkeypatch.setattr(route, "apery_levels", broken)
     with _digit_limit(4321):  # a limit that no run sets by itself
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         assert run_cli(capsys, *argv)[0] == expected
@@ -944,6 +961,37 @@ def test_module_entry_point_runs():
     proc = _seq_fib_10("-m", "froblab")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "55\n"
+
+
+# One call per command.  Closed before the child starts, the pipe fails the
+# first write of every command; closed after the first bytes, it fails what the
+# command writes once the reader has left, if anything.
+_CLOSED_STDOUT_CALLS = {
+    "compute": ("compute", "--kind", "fib", "--i", "6", "--k", "4", "--p", "2"),
+    "verify": ("verify", "--i", "3..8", "--p", "0..2", "--quiet"),
+    "table": ("table", "--kind", "fib", "--i", "14", "--k", "6", "--pmax", "6"),
+    "exact": ("exact", "--gens", "8,21,55", "--p", "2"),
+    "seq": ("seq", "--kind", "fib", "--n", "20000"),
+}
+
+
+@pytest.mark.parametrize("closed", ["before the first byte", "after the first bytes"])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", sorted(_CLOSED_STDOUT_CALLS))
+def test_a_closed_stdout_exits_0_with_nothing_on_stderr(command, fmt, closed):
+    # A reader that leaves early, as `froblab ... | head -c 100` does.
+    read_end, write_end = os.pipe()
+    if closed.startswith("before"):
+        os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-m", "froblab", *_CLOSED_STDOUT_CALLS[command], "--format", fmt]
+    proc = subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    if closed.startswith("after"):
+        assert os.read(read_end, 100)
+        os.close(read_end)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_quiet_silences_stderr(capsys):

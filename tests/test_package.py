@@ -155,11 +155,11 @@ def test_routes_import_none_of_each_other():
     for name in ROUTES:
         assert not _reach(graph, name) & ROUTES, name
     assert not graph["generators"] and not graph["sequences"]
-    # Besides the package, only the router and the two front ends that set the
-    # routes side by side (verify compares them; table draws the walk of a
-    # family triple) import both the closed forms and the walk.
+    # Besides the package, only the router and table (which draws the walk of a
+    # family triple) import both the closed forms and the walk; verify sets them
+    # side by side through the router.
     both = {name for name, deps in graph.items() if {"apery", "closed_forms"} <= deps}
-    assert both == {"__init__", "route", "cli", "tables"}
+    assert both == {"__init__", "route", "tables"}
     assert "denumerant" not in _reach(graph, "cli") | _reach(graph, "tables")
 
 
@@ -172,6 +172,30 @@ def _triple_params_calls(node) -> list:
             getattr(call.func, "id", None), getattr(getattr(call.func, "value", None), "id", None)
         )
     ]
+
+
+def _uses(tree) -> set[str]:
+    """Names read (``closed_g``) or bound (``_QUANTITIES =``), and calls (``apery_levels(``,
+    ``.frobenius()``); a ``def`` or an import binds no ``ast.Name``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id if isinstance(node.ctx, ast.Load) else f"{node.id} =")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            used.add(f".{node.func.attr}()")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            used.add(f"{node.func.id}(")
+    return used
+
+
+def test_only_the_router_maps_a_quantity_to_its_routes():
+    users: dict[str, set[str]] = {}
+    for path in Path(froblab.__file__).parent.glob("*.py"):
+        for name in _uses(ast.parse(path.read_text(encoding="utf-8"))):
+            users.setdefault(name, set()).add(path.stem)
+    for name in ("closed_g", "closed_n", ".frobenius()", ".sylvester()", "_QUANTITIES ="):
+        assert users.get(name) == {"route"}, name
+    assert users["apery_levels("] == {"route", "tables"}
 
 
 def test_only_params_constructs_triple_params():
