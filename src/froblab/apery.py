@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import gcd
 from operator import itemgetter
@@ -104,7 +103,6 @@ class AperySet(NamedTuple):
         return q
 
 
-@lru_cache(maxsize=1)
 def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...], ...]:
     """Apery elements of levels ``0..p_max``, one residue-indexed tuple each."""
     a1, a2 = gens[0], gens[1]
@@ -209,11 +207,9 @@ def _check_budget(a1: int, p_max: int) -> None:
 def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[AperySet, ...]:
     """Level-``0..p_max`` Apery sets of ``gens`` from one residue walk.
 
-    Only the latest ``(gens, p_max)`` is cached: that is enough for a caller
-    that asks for ``g`` and then ``n`` of one tuple, and a sweep over many
-    tuples holds one walk at a time.  Raises :class:`DegenerateTupleError`
-    when the smallest generator is 1, and ``ValueError`` before allocating
-    anything when the walk's charge exceeds :data:`VALUE_BUDGET`.
+    Raises :class:`DegenerateTupleError` when the smallest generator is 1,
+    and ``ValueError`` before allocating anything when the walk's charge
+    exceeds :data:`VALUE_BUDGET`.
     """
     tup = GeneratorTuple(gens)
     if p_max < 0:

@@ -346,7 +346,7 @@ def _cmd_compute(args) -> int:
         source = params(args.kind, args.i, args.k)
         tup = source.gens
         header = {"kind": source.kind.value, "i": args.i, "k": args.k}
-    comps = [compute(qty, source, args.p, args.method) for qty in quantities]
+    comps = compute(quantities, source, args.p, args.method)
 
     columns = ("quantity", "value", "method", "tag")
     rows = [(qty, c.value, c.path, str(c.tag) if c.tag else None) for qty, c in zip(quantities, comps)]
@@ -422,7 +422,8 @@ def _cmd_seq(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--quiet", action="store_true", help="suppress stderr progress")
+    common.add_argument("--quiet", action="store_true",
+                        help="drop verify's progress and wall-time lines on stderr; errors still print")
 
     parser = argparse.ArgumentParser(
         prog="froblab",
@@ -467,7 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--i", type=integer, required=True)
     p_table.add_argument("--k", type=integer, required=True)
     p_table.add_argument("--pmax", type=integer, default=0)
-    p_table.add_argument("--mode", choices=("value", "residue", "level"), default="value")
+    p_table.add_argument("--mode", choices=("value", "residue", "level"), default="value",
+                         help="what a text cell shows; json and csv always carry value, residue and level")
     p_table.set_defaults(func=_cmd_table)
 
     p_exact = sub.add_parser("exact", parents=[common], help="largest n with exactly p representations")

