@@ -194,14 +194,16 @@ def _short(n: int) -> str:
     return text if len(text) <= 20 else f"({len(text)} digits)"
 
 
-def _check_budget(a1: int, p_max: int) -> None:
-    """``ValueError`` if a walk with ``a_1 = a1`` to level ``p_max`` is over :data:`VALUE_BUDGET`."""
+def _check_budget(a1: int, p_max: int) -> int:
+    """The charge of a walk with ``a_1 = a1`` to level ``p_max``; ``ValueError`` if it is
+    over :data:`VALUE_BUDGET`."""
     need = (a1 + _LEVEL_CHARGE) * (p_max + 2) + a1 * p_max // 3
     if need > VALUE_BUDGET:
         raise ValueError(
             f"a_1 = {_short(a1)} at levels 0..{_short(p_max)} needs (a_1+{_LEVEL_CHARGE})*(p_max+2) "
             f"+ a_1*p_max//3 = {_short(need)}, over the budget of {VALUE_BUDGET}"
         )
+    return need
 
 
 def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[AperySet, ...]:

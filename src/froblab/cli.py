@@ -13,14 +13,13 @@ closes before the output is written exits 0 with nothing on stderr, never 1.
 Every command answers from at most one residue walk, taken through
 :mod:`froblab.route`, or :func:`froblab.tables.build_table` for ``table``; a
 walk, box or sequence index over its bound exits 2 before allocating, and
-``verify`` checks its grid before the first walk.  Every command except
-``table`` writes through :func:`_write`.
+``verify`` checks its grid and its rows before the first walk.  CSV rows and
+``table``'s JSON are written as they are made, the rest as one string.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import re
 import sys
@@ -37,7 +36,7 @@ from .closed_forms import (
 from .generators import DegenerateTupleError, GeneratorTuple, TupleValidationError
 from .route import _QUANTITIES, _check_grid, _largest_with_exactly, _side_by_side, compute
 from .sequences import seq
-from .tables import Cell, build_table, export_json, render_ascii
+from .tables import Cell, _json_pieces, build_table, render_ascii
 
 __all__ = ["main", "run", "SweepSpec", "VerifyReport", "run_sweep", "run_proposition"]
 
@@ -71,15 +70,20 @@ class SweepSpec(NamedTuple):
 
     def triples(self) -> list[tuple[str, int, int]]:
         """Every ``(kind, i, k)`` in order; past :meth:`largest`'s ``i`` no ``k`` range is left."""
+        return [(kind, i, k) for kind in self.kinds for i, ks in self._k_ranges() for k in ks]
+
+    def size(self) -> int:
+        """How many rows the grid's report holds, counted without listing the grid."""
+        per_triple = (self.p_hi - self.p_lo + 1) * len(self.quantities)
+        return len(self.kinds) * sum(len(ks) for _, ks in self._k_ranges()) * per_triple
+
+    def _k_ranges(self) -> list[tuple[int, range]]:
+        """Each ``i`` up to :meth:`largest`'s, with its ``k`` range."""
         top = self.largest()
-        out = []
-        for kind in self.kinds if top else ():
-            for i in range(self.i_lo, top[0] + 1):
-                k_lo = _bound_at(self.k_lo, i)
-                k_hi = _bound_at(self.k_hi, i)
-                for k in range(max(k_lo, 3), k_hi + 1):
-                    out.append((kind, i, k))
-        return out
+        return [
+            (i, range(max(_bound_at(self.k_lo, i), 3), _bound_at(self.k_hi, i) + 1))
+            for i in range(self.i_lo, top[0] + 1)
+        ] if top else []
 
     def largest(self) -> Optional[tuple[int, int]]:
         """``(i, k)`` of the largest triples: the last ``i`` with a ``k`` range, at its top."""
@@ -196,7 +200,7 @@ def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None)
     top = spec.largest()  # checked before the grid is listed
     if top is None:
         raise ValueError(f"--k selects no k at any i of {spec.i_lo}..{spec.i_hi}")
-    _check_grid(spec.kinds, spec.i_lo, *top, spec.p_hi)
+    _check_grid(spec.kinds, spec.i_lo, *top, spec.p_hi, spec.size)
     triples = spec.triples()
     rows: list[Row] = []
     for idx, (kind, i, k) in enumerate(triples):
@@ -312,25 +316,23 @@ def _note(args, text: str) -> None:
 # ----------------------------------------------------------------------
 # output formats: json and csv are imported only by the run that writes them
 
-def _csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A header row, then one line per row; ``None`` is an empty cell."""
+def _write_csv(columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header row, then one line per row as it comes; ``None`` is an empty cell."""
     import csv
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _write(args, doc, columns, rows, text: str, indent: Optional[int] = 2) -> None:
     """Emit one command's result as ``doc``, as ``rows`` under ``columns``, or as ``text``."""
+    if args.format == "csv":
+        return _write_csv(columns, rows)
     if args.format == "json":
         import json
 
         text = json.dumps(doc, sort_keys=True, indent=indent) + "\n"
-    elif args.format == "csv":
-        text = _csv_text(columns, rows)
     sys.stdout.write(text)
 
 
@@ -391,9 +393,9 @@ def _cmd_verify(args) -> int:
 def _cmd_table(args) -> int:
     table = build_table(args.kind, args.i, args.k, args.pmax)
     if args.format == "json":
-        sys.stdout.write(export_json(table))
+        sys.stdout.writelines(_json_pieces(table))
     elif args.format == "csv":
-        sys.stdout.write(_csv_text(Cell._fields, table.cells))
+        _write_csv(Cell._fields, table.cells)
     else:
         sys.stdout.write(render_ascii(table, mode=args.mode))
     return EXIT_OK

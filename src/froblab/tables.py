@@ -20,9 +20,9 @@ of non-empty rows.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import count
+from itertools import count, islice
 from math import gcd
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .apery import VALUE_BUDGET, AperySet, apery_levels
 from .closed_forms import TripleParams, params
@@ -149,22 +149,45 @@ def render_ascii(table: ResidueTable, mode: str = "value") -> str:
 # the stdlib encoder runs in pure Python once it indents.
 _CELL = '    {\n      "level": %s,\n      "residue": %d,\n      "value": %d,\n      "x": %d,\n      "y": %d\n    }'
 _LEVEL = '    {\n      "elements": %s,\n      "level": %d,\n      "p": %d\n    }'
-_AFTER_CELLS = """,
+_BEFORE_LEVELS = """,
   "ell": %d,
   "generators": %s,
   "i": %d,
   "k": %d,
   "kind": "%s",
-  "levels": %s,
+  "levels": """
+_AFTER_LEVELS = """,
   "p_max": %d,
   "r": %d
 }
 """
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """A JSON array of already-indented items, closed at ``indent``."""
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+def _json_array(items: Iterable[str], indent: str) -> Iterator[str]:
+    """A JSON array of already-indented items, closed at ``indent``, in a piece per item."""
+    sep = "[\n"
+    for item in items:
+        yield sep + item
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n" + indent + "]"
+
+
+def _json_pieces(table: ResidueTable) -> Iterator[str]:
+    """:func:`export_json`'s document in order, a thousand cells or one level a piece."""
+    pr = table.params
+    cells = (
+        _CELL % ("null" if c.level is None else c.level, c.residue, c.value, c.x, c.y)
+        for c in table.cells
+    )
+    yield '{\n  "cells": '
+    yield from _json_array(iter(lambda: ",\n".join(islice(cells, 1000)), ""), "  ")
+    generators = "".join(_json_array(["    %d" % g for g in pr.gens.gens], "  "))
+    yield _BEFORE_LEVELS % (pr.ell, generators, pr.i, pr.k, pr.kind.value)
+    yield from _json_array((
+        _LEVEL % ("".join(_json_array(["        %d" % e for e in sorted(aset.elements)], "      ")), q + 1, q)
+        for q, aset in enumerate(table.levels)
+    ), "  ")
+    yield _AFTER_LEVELS % (len(table.levels) - 1, pr.r)
 
 
 def export_json(table: ResidueTable) -> str:
@@ -175,23 +198,4 @@ def export_json(table: ResidueTable) -> str:
     ``r``; each cell has ``level`` (``null`` when unannotated), ``residue``,
     ``value``, ``x`` and ``y``.
     """
-    pr = table.params
-    levels = [
-        _LEVEL % (_json_list(["        %d" % e for e in sorted(aset.elements)], "      "), q + 1, q)
-        for q, aset in enumerate(table.levels)
-    ]
-    after = _AFTER_CELLS % (
-        pr.ell, _json_list(["    %d" % g for g in pr.gens.gens], "  "),
-        pr.i, pr.k, pr.kind.value, _json_list(levels, "  "), len(levels) - 1, pr.r,
-    )
-    cells = [
-        _CELL % ("null" if c.level is None else c.level, c.residue, c.value, c.x, c.y)
-        for c in table.cells
-    ]
-    if not cells:
-        return '{\n  "cells": []' + after
-    # the cells are most of the document, so it is built by this one join and
-    # never copied: the rest rides on the first and the last cell
-    cells[0] = '{\n  "cells": [\n' + cells[0]
-    cells[-1] += "\n  ]" + after
-    return ",\n".join(cells)
+    return "".join(_json_pieces(table))

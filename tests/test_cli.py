@@ -253,6 +253,23 @@ def test_verify_grid_over_index_bound_is_refused_before_any_walk(capsys, monkeyp
     assert (code, out) == (2, "")
 
 
+def test_verify_grid_whose_rows_cannot_fit_is_refused_before_any_walk(capsys, monkeypatch):
+    def walked(*args):
+        raise AssertionError("walked a triple")
+
+    monkeypatch.setattr(route, "apery_levels", walked)
+    # each walk is inside the budget (the largest is charged 3,533,365), but the
+    # report would keep 21 triples * 200,001 levels * 2 quantities rows
+    code, out, err = run_cli(capsys, "verify", "--kind", "fib", "--what", "both", "--i", "3..5",
+                             "--k", "3..i+5", "--p", "0..200000", "--quiet")
+    assert (code, out) == (2, "")
+    assert err == ("froblab: the grid's 8400042 rows need 10*rows + the largest walk's 3533365 "
+                   "= 87533785, over the budget of 5000000\n")
+    # README's 200,001-row grid is admitted: it gets as far as its first walk
+    code, out, err = run_cli(capsys, "verify", "--i", "3..3", "--k", "3..3", "--p", "0..200000")
+    assert (code, out, err) == (5, "", "froblab: internal error: walked a triple\n")
+
+
 _BOUNDS = st.tuples(st.sampled_from([None, "i"]), st.integers(-6, 12))
 
 
@@ -268,6 +285,15 @@ def test_largest_is_the_last_listed_triple(i_lo, i_hi, k_lo, k_hi):
         for i in range(i_lo, i_hi + 1)
         for k in range(max(cli._bound_at(k_lo, i), 3), cli._bound_at(k_hi, i) + 1)
     ]
+
+
+@given(st.integers(3, 12), st.integers(3, 12), _BOUNDS, _BOUNDS, st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_size_counts_the_rows_of_the_listed_grid(i_lo, i_hi, k_lo, k_hi, p_hi):
+    spec = cli.SweepSpec(("fib", "lucas"), i_lo, i_hi, k_lo, k_hi, 0, p_hi, ("g", "n"))
+    assert spec.size() == len(spec.triples()) * (p_hi + 1) * 2
+    if spec.largest() is not None:
+        assert spec.size() == cli.run_sweep(spec).summary()["rows"]
 
 
 def test_listing_stops_where_the_k_range_empties_for_good(capsys, monkeypatch):
@@ -666,6 +692,40 @@ def test_table_csv_and_json(capsys):
         "--format", "json",
     )
     assert json.loads(out)["levels"][0]["elements"] == [0, 21, 42, 55, 76, 97, 110, 131]
+
+
+def test_table_stdout_is_the_library_document(capsys):
+    # 3,024 cells, more than one piece of the JSON writer
+    table = tables.build_table("fib", 14, 6, 6)
+    argv = ("table", "--kind", "fib", "--i", "14", "--k", "6", "--pmax", "6")
+    assert run_cli(capsys, *argv, "--format", "json") == (0, tables.export_json(table), "")
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(tables.Cell._fields)
+    writer.writerows(table.cells)
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, expected.getvalue(), "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_output_is_written_as_it_is_made(fmt):
+    # Held whole before it was written, the output took the peak to 5.4 (json)
+    # and 2.7 (csv) times that of building the table; written as it is made,
+    # to 1.2 and 1.1 times.
+    argv = ["table", "--kind", "fib", "--i", "16", "--k", "4", "--pmax", "10", "--format", fmt]
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    built = peak(lambda: tables.build_table("fib", 16, 4, 10))
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert cli.run(argv) == 0  # so that what the first run imports is not counted
+        written = peak(lambda: cli.run(argv))
+    assert written / built < 2
 
 
 @pytest.mark.parametrize("i, k", [(3, 7), (6, 10)])
