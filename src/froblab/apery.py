@@ -131,29 +131,28 @@ def _apery_elements(gens: tuple[int, ...], p_max: int) -> tuple[tuple[int, ...],
         length = a1 // cycles
         lap = length * a
         for start in range(cycles):
-            # First lap: residue x % a1 for x = start + t*a, t = 1..length, is
-            # (length - t) steps of a short of `start`, so its values arrive
-            # there raised by base - x; t = length is `start` itself.  A list
-            # whose least arrival is not among the keep least has keep smaller
-            # arrivals before its first, so only the keep least heads' lists
-            # are read, in head order; once keep values are held, a list is read
-            # only below the largest of them, so the lap holds O(keep) values.
-            base = start + lap
+            # First lap, counted by t = 1..length, not by value: residue
+            # (start + t*step) % a1 is (length - t) steps of a short of `start`,
+            # so its values arrive there raised by (length - t)*a.  A list whose
+            # least arrival is not among the keep least has keep smaller arrivals
+            # before its first, so only the keep least heads' lists are read, in
+            # head order; once keep values are held, a list is read only below
+            # the largest of them, so the lap holds O(keep) values.
             heads: list[tuple[int, int]] = []
-            for lo in range(start + a, base + a, _HEADS_AT_ONCE * a):
+            for lo in range(1, length + 1, _HEADS_AT_ONCE):
                 heads += (
-                    (own[0] - x, x)
-                    for x in range(lo, min(lo + _HEADS_AT_ONCE * a, base + a), a)
-                    if (own := smallest[x % a1])
+                    (own[0] - t * a, t)
+                    for t in range(lo, min(lo + _HEADS_AT_ONCE, length + 1))
+                    if (own := smallest[(start + t * step) % a1])
                 )
                 heads.sort()
                 del heads[keep:]
             if not heads:  # no value on this cycle yet
                 continue
             reach: list[int] = []
-            for _, x in heads:
-                shift = base - x
-                own = smallest[x % a1]
+            for _, t in heads:
+                shift = (length - t) * a
+                own = smallest[(start + t * step) % a1]
                 cut = bisect_left(own, reach[-1] - shift) if len(reach) == keep else keep
                 if not cut:  # the heads ascend, so no later list reaches lower
                     break
@@ -194,16 +193,14 @@ def _short(n: int) -> str:
     return text if len(text) <= 20 else f"({len(text)} digits)"
 
 
-def _check_budget(a1: int, p_max: int) -> int:
-    """The charge of a walk with ``a_1 = a1`` to level ``p_max``; ``ValueError`` if it is
-    over :data:`VALUE_BUDGET`."""
+def _check_budget(a1: int, p_max: int) -> None:
+    """``ValueError`` if a walk with ``a_1 = a1`` to level ``p_max`` is over :data:`VALUE_BUDGET`."""
     need = (a1 + _LEVEL_CHARGE) * (p_max + 2) + a1 * p_max // 3
     if need > VALUE_BUDGET:
         raise ValueError(
             f"a_1 = {_short(a1)} at levels 0..{_short(p_max)} needs (a_1+{_LEVEL_CHARGE})*(p_max+2) "
             f"+ a_1*p_max//3 = {_short(need)}, over the budget of {VALUE_BUDGET}"
         )
-    return need
 
 
 def apery_levels(gens: "GeneratorTuple | Iterable[int]", p_max: int) -> tuple[AperySet, ...]:

@@ -13,7 +13,7 @@ closes before the output is written exits 0 with nothing on stderr, never 1.
 Every command answers from at most one residue walk, taken through
 :mod:`froblab.route`, or :func:`froblab.tables.build_table` for ``table``; a
 walk, box or sequence index over its bound exits 2 before allocating, and
-``verify`` checks its grid and its rows before the first walk.  CSV rows and
+``verify`` checks its grid, not its rows, before the first walk.  CSV rows and
 ``table``'s JSON are written as they are made, the rest as one string.
 """
 
@@ -24,7 +24,7 @@ import os
 import re
 import sys
 import time
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .closed_forms import (
     NotCoveredError,
@@ -70,19 +70,12 @@ class SweepSpec(NamedTuple):
 
     def triples(self) -> list[tuple[str, int, int]]:
         """Every ``(kind, i, k)`` in order; past :meth:`largest`'s ``i`` no ``k`` range is left."""
-        return [(kind, i, k) for kind in self.kinds for i, ks in self._k_ranges() for k in ks]
-
-    def size(self) -> int:
-        """How many rows the grid's report holds, counted without listing the grid."""
-        per_triple = (self.p_hi - self.p_lo + 1) * len(self.quantities)
-        return len(self.kinds) * sum(len(ks) for _, ks in self._k_ranges()) * per_triple
-
-    def _k_ranges(self) -> list[tuple[int, range]]:
-        """Each ``i`` up to :meth:`largest`'s, with its ``k`` range."""
         top = self.largest()
         return [
-            (i, range(max(_bound_at(self.k_lo, i), 3), _bound_at(self.k_hi, i) + 1))
+            (kind, i, k)
+            for kind in self.kinds
             for i in range(self.i_lo, top[0] + 1)
+            for k in range(max(_bound_at(self.k_lo, i), 3), _bound_at(self.k_hi, i) + 1)
         ] if top else []
 
     def largest(self) -> Optional[tuple[int, int]]:
@@ -129,23 +122,29 @@ def _sweep_point(pr: TripleParams, levels: Sequence[int], quantities: Sequence[s
 
 
 class VerifyReport(NamedTuple):
-    rows: list[Row]
+    """A one-pass tally of a grid's rows: three counts and the mismatching rows."""
 
-    @property
-    def points(self) -> int:
-        return len({(r.kind, r.i, r.k, r.p) for r in self.rows})
+    rows: int
+    points: int
+    covered: int
+    mismatches: list[Row]
 
-    @property
-    def covered(self) -> list[Row]:
-        return [r for r in self.rows if r.match is not None]
-
-    @property
-    def oracle_only(self) -> list[Row]:
-        return [r for r in self.rows if r.match is None]
-
-    @property
-    def mismatches(self) -> list[Row]:
-        return [r for r in self.rows if r.match is False]
+    @classmethod
+    def of(cls, rows: Iterable[Row]) -> "VerifyReport":
+        """Tally ``rows``, in which each point's rows are consecutive, keeping only mismatches."""
+        count = points = covered = 0
+        mismatches = []
+        point = None
+        for row in rows:
+            count += 1
+            if row[:4] != point:  # (kind, i, k, p)
+                points += 1
+                point = row[:4]
+            if row.match is not None:
+                covered += 1
+                if not row.match:
+                    mismatches.append(row)
+        return cls(count, points, covered, mismatches)
 
     @property
     def verbatim_mismatches(self) -> list[Row]:
@@ -157,13 +156,13 @@ class VerifyReport(NamedTuple):
 
     def summary(self) -> dict:
         return {
-            "rows": len(self.rows),
+            "rows": self.rows,
             "points": self.points,
-            "covered": len(self.covered),
-            "matches": len(self.covered) - len(self.mismatches),
+            "covered": self.covered,
+            "matches": self.covered - len(self.mismatches),
             "mismatches": len(self.mismatches),
             "verbatim_mismatches": len(self.verbatim_mismatches),
-            "oracle_only": len(self.oracle_only),
+            "oracle_only": self.rows - self.covered,
         }
 
     def to_text(self) -> str:
@@ -186,8 +185,9 @@ class VerifyReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None) -> VerifyReport:
-    """Evaluate closed forms against the Apery oracle over a grid."""
+def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None) -> Iterator[Row]:
+    """The grid's rows, closed forms against the Apery oracle, made one walk at a time
+    as they are read; the grid is checked before this returns."""
     if not set(spec.quantities) <= set(_QUANTITIES):
         raise ValueError(f"quantities must be from {_QUANTITIES}, got {spec.quantities!r}")
     levels = range(spec.p_lo, spec.p_hi + 1)
@@ -200,18 +200,20 @@ def run_sweep(spec: SweepSpec, progress: Optional[Callable[[str], None]] = None)
     top = spec.largest()  # checked before the grid is listed
     if top is None:
         raise ValueError(f"--k selects no k at any i of {spec.i_lo}..{spec.i_hi}")
-    _check_grid(spec.kinds, spec.i_lo, *top, spec.p_hi, spec.size)
+    _check_grid(spec.kinds, spec.i_lo, *top, spec.p_hi)
     triples = spec.triples()
-    rows: list[Row] = []
-    for idx, (kind, i, k) in enumerate(triples):
-        rows.extend(_sweep_point(params(kind, i, k), levels, spec.quantities))
-        if progress and (idx + 1) % 10 == 0:
-            progress(f"{idx + 1}/{len(triples)} triples")
-    return VerifyReport(rows)
+
+    def rows() -> Iterator[Row]:
+        for idx, (kind, i, k) in enumerate(triples):
+            yield from _sweep_point(params(kind, i, k), levels, spec.quantities)
+            if progress and (idx + 1) % 10 == 0:
+                progress(f"{idx + 1}/{len(triples)} triples")
+
+    return rows()
 
 
-def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyReport:
-    """Check the pair-reduction thresholds against the oracle.
+def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> list[Row]:
+    """Rows checking the pair-reduction thresholds against the oracle, by ``(p, i, k)``.
 
     For each level with a known threshold ``h``, the triples with
     ``k = i + h`` and ``k = i + h + 1`` must both have the same largest
@@ -236,7 +238,7 @@ def run_proposition(p_lo: int, p_hi: int, i_values: Sequence[int]) -> VerifyRepo
     for (i, k), ps in checked_at.items():  # one walk per triple, to its highest level
         rows += _sweep_point(params("fib", i, k), ps, ("g",), proposition_g)
     rows.sort(key=lambda r: (r.p, r.i, r.k))
-    return VerifyReport(rows)
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -316,19 +318,28 @@ def _note(args, text: str) -> None:
 # ----------------------------------------------------------------------
 # output formats: json and csv are imported only by the run that writes them
 
-def _write_csv(columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A header row, then one line per row as it comes; ``None`` is an empty cell."""
+def _csv_writer(columns: Sequence[str]):
+    """A CSV writer on stdout that has written the header row; ``None`` is an empty cell."""
     import csv
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(rows)
+    return writer
+
+
+def _csv_passing(rows: Iterable[Row]) -> Iterator[Row]:
+    """``rows`` passed on as they come, each first written as a CSV line under a header row."""
+    writer = _csv_writer(Row._fields[:-1])
+    spelled = {True: "true", False: "false", None: None}  # the only boolean any CSV holds
+    for r in rows:
+        writer.writerow((*r[:-2], spelled[r.match]))
+        yield r
 
 
 def _write(args, doc, columns, rows, text: str, indent: Optional[int] = 2) -> None:
     """Emit one command's result as ``doc``, as ``rows`` under ``columns``, or as ``text``."""
     if args.format == "csv":
-        return _write_csv(columns, rows)
+        return _csv_writer(columns).writerows(rows)
     if args.format == "json":
         import json
 
@@ -367,7 +378,7 @@ def _cmd_verify(args) -> int:
     if args.proposition:
         p_lo, p_hi = (0, 6) if args.p is None else _parse_span("--p", args.p)
         i_lo, i_hi = (3, 5) if args.i is None else _parse_span("--i", args.i)
-        report = run_proposition(p_lo, p_hi, range(i_lo, i_hi + 1))
+        rows = run_proposition(p_lo, p_hi, range(i_lo, i_hi + 1))
     else:
         kinds = ("fib", "lucas") if args.kind == "both" else (args.kind,)
         quantities = _QUANTITIES if args.what == "both" else (args.what,)
@@ -379,13 +390,15 @@ def _cmd_verify(args) -> int:
             grid["k_lo"], grid["k_hi"] = _parse_span("--k", args.k, _parse_k_bound)
         if args.p is not None:
             grid["p_lo"], grid["p_hi"] = _parse_span("--p", args.p)
-        report = run_sweep(SweepSpec(**grid), progress=lambda m: _note(args, m))
+        rows = run_sweep(SweepSpec(**grid), progress=lambda m: _note(args, m))
 
-    mismatches = [r._asdict() for r in report.mismatches]
-    doc = {"summary": report.summary(), "mismatches": mismatches, "ok": report.ok}
-    spelled = {True: "true", False: "false", None: None}  # the only boolean any CSV holds
-    rows = ((*r[:-2], spelled[r.match]) for r in report.rows)
-    _write(args, doc, Row._fields[:-1], rows, report.to_text())
+    if args.format == "csv":  # the grid is checked: each row is written as it is tallied
+        report = VerifyReport.of(_csv_passing(rows))
+    else:
+        report = VerifyReport.of(rows)
+        mismatches = [r._asdict() for r in report.mismatches]
+        doc = {"summary": report.summary(), "mismatches": mismatches, "ok": report.ok}
+        _write(args, doc, (), (), report.to_text())
     _note(args, f"wall time: {time.monotonic() - t0:.2f}s")
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
@@ -395,7 +408,7 @@ def _cmd_table(args) -> int:
     if args.format == "json":
         sys.stdout.writelines(_json_pieces(table))
     elif args.format == "csv":
-        _write_csv(Cell._fields, table.cells)
+        _csv_writer(Cell._fields).writerows(table.cells)
     else:
         sys.stdout.write(render_ascii(table, mode=args.mode))
     return EXIT_OK

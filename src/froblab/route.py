@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .apery import VALUE_BUDGET, _check_budget, apery_levels
+from .apery import _check_budget, apery_levels
 from .closed_forms import CaseTag, FormulaResult, NotCoveredError, TripleParams, closed_g, closed_n
 from .generators import DegenerateTupleError, GeneratorTuple
 from .sequences import _check_index, seq
@@ -93,11 +93,12 @@ def _side_by_side(pr: TripleParams, levels: Sequence[int], quantities: Iterable[
                   form: Optional[Callable] = None) -> Iterator[tuple[int, str, FormulaResult, int]]:
     """``(p, quantity, closed form's result, walk's value)`` at each of ``levels``
     (ascending), from one walk; ``form(pr, p)``, if given, stands in for the closed form."""
-    asets = apery_levels(pr.gens, levels[-1])
+    asets = list(apery_levels(pr.gens, levels[-1]))
     for p in levels:
+        aset, asets[p] = asets[p], None  # let a level go once read: rows take its place
         for quantity in quantities:
             closed, oracle = _ROUTES[quantity]
-            yield p, quantity, (form or closed)(pr, p), oracle(asets[p])
+            yield p, quantity, (form or closed)(pr, p), oracle(aset)
 
 
 def _largest_with_exactly(tup: GeneratorTuple, p: int) -> Optional[int]:
@@ -109,26 +110,12 @@ def _largest_with_exactly(tup: GeneratorTuple, p: int) -> Optional[int]:
     return max((top - tup.a1 for low, top in zip(below, levels[-1]) if top - low >= tup.a1), default=None)
 
 
-# A report keeps every row until it is written, beside the walk of its current triple.
-# A row took 0.3 KB where each triple gives many and up to 0.5 KB where each gives one
-# (verify --i 3..12 --k 3..2002 --p 0), and a unit of the walk's charge takes at most
-# 54 bytes (285 MB at the budget), so a row is charged ten units.
-_ROW_CHARGE = 10
-
-
-def _check_grid(kinds: Iterable[str], i_lo: int, i: int, k: int, p_max: int,
-                size: Callable[[], int] = lambda: 0) -> None:
+def _check_grid(kinds: Iterable[str], i_lo: int, i: int, k: int, p_max: int) -> None:
     """Refuse a grid whose least index ``i_lo`` is below 3, or whose largest triple
     ``(x_i, x_{i+2}, x_{i+k})`` of a kind in ``kinds`` is over a bound: the index
-    bound on ``i + k`` before any term is computed, then the walk's on ``x_i``,
-    then that walk's charge with the ``size()`` rows of the grid's report."""
+    bound on ``i + k`` before any term is computed, then the walk's on ``x_i``."""
     if i_lo < 3:
         raise ValueError(f"i must be >= 3, got {i_lo}")
     _check_index(i + k)
-    walk = max((_check_budget(seq(kind, i), p_max) for kind in kinds), default=0)
-    rows = size()
-    if walk + rows * _ROW_CHARGE > VALUE_BUDGET:
-        raise ValueError(
-            f"the grid's {rows} rows need {_ROW_CHARGE}*rows + the largest walk's {walk} "
-            f"= {walk + rows * _ROW_CHARGE}, over the budget of {VALUE_BUDGET}"
-        )
+    for kind in kinds:
+        _check_budget(seq(kind, i), p_max)

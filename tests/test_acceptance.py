@@ -20,7 +20,7 @@ from collections import Counter
 from pathlib import Path
 
 from froblab.apery import apery_levels
-from froblab.cli import SweepSpec, run_proposition, run_sweep
+from froblab.cli import SweepSpec, VerifyReport, run_proposition, run_sweep
 from froblab.closed_forms import closed_g, closed_n, params
 from froblab.denumerant import largest_with_exactly_p
 from froblab.generators import GeneratorTuple
@@ -127,21 +127,25 @@ def test_criterion_05_exact_count_anecdote():
 
 def test_criterion_06_frobenius_sweeps_match_oracle():
     t0 = time.monotonic()
-    fib_report = run_sweep(SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("g",)))
-    lucas_report = run_sweep(SweepSpec(("lucas",), 3, 10, (None, 3), ("i", 5), 0, 3, ("g",)))
+    fib_report = VerifyReport.of(
+        run_sweep(SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("g",)))
+    )
+    lucas_report = VerifyReport.of(
+        run_sweep(SweepSpec(("lucas",), 3, 10, (None, 3), ("i", 5), 0, 3, ("g",)))
+    )
     wall = time.monotonic() - t0
     assert fib_report.mismatches == [], fib_report.to_text()
     assert lucas_report.mismatches == [], lucas_report.to_text()
     assert wall < 60.0, f"took {wall:.1f}s single-threaded"
     print(
         f"criterion 6: PASS — g sweeps clean "
-        f"(fib {len(fib_report.covered)} covered, lucas {len(lucas_report.covered)} covered, "
+        f"(fib {fib_report.covered} covered, lucas {lucas_report.covered} covered, "
         f"{wall:.1f}s)"
     )
 
 
 def test_criterion_07_sylvester_sweep_reports_verbatim_branches():
-    report = run_sweep(SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("n",)))
+    report = VerifyReport.of(run_sweep(SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("n",))))
     silent = [r for r in report.mismatches if not r.verbatim]
     assert silent == [], f"non-verbatim mismatches: {silent}"
     # the report itself is the deliverable for the two pinned branches
@@ -156,8 +160,8 @@ def test_criterion_07_sylvester_sweep_reports_verbatim_branches():
 
 
 def test_criterion_08_pair_reduction_thresholds():
-    report = run_proposition(0, 6, [3, 4, 5])
-    assert len(report.rows) == 24
+    report = VerifyReport.of(run_proposition(0, 6, [3, 4, 5]))
+    assert report.rows == 24
     assert report.mismatches == [], report.to_text()
     print("criterion 8: PASS — pair-reduction threshold holds at k=i+h and k=i+h+1 (24/24)")
 
@@ -221,8 +225,12 @@ def test_criterion_10_table_snapshots_byte_for_byte():
 
 def test_criterion_11_deep_grid_sweeps():
     t0 = time.monotonic()
-    fib_report = run_sweep(SweepSpec(("fib",), 3, 18, (None, 3), ("i", 5), 0, 8, ("g", "n")))
-    lucas_report = run_sweep(SweepSpec(("lucas",), 3, 16, (None, 3), ("i", 5), 0, 8, ("g", "n")))
+    fib_report = VerifyReport.of(
+        run_sweep(SweepSpec(("fib",), 3, 18, (None, 3), ("i", 5), 0, 8, ("g", "n")))
+    )
+    lucas_report = VerifyReport.of(
+        run_sweep(SweepSpec(("lucas",), 3, 16, (None, 3), ("i", 5), 0, 8, ("g", "n")))
+    )
     wall = time.monotonic() - t0
     g_mismatches = [
         r for rep in (fib_report, lucas_report) for r in rep.mismatches if r.quantity == "g"

@@ -7,6 +7,7 @@ from froblab.apery import VALUE_BUDGET, _check_budget, apery_levels
 from froblab.denumerant import denumerant, denumerant_table, p_frobenius_scan, p_sylvester_scan
 from froblab.closed_forms import params
 from froblab.generators import DegenerateTupleError, GeneratorTuple
+from froblab.sequences import fib
 
 F6_TRIPLE = GeneratorTuple((8, 21, 55))
 
@@ -213,7 +214,8 @@ def _assert_walk_matches_scan(gens, p_max):
 #   span many laps, and every case with fewer values on a cycle than keep;
 # - cycles with fewer non-empty lists than p_max + 1 though no shorter, since
 #   gcd(a1, a2) > 1: (10, 12, 13) (5 of 10) and (12, 16, 18, 27);
-# - cycles of length 1 in a later pass (a_j ≡ 0 mod a1): (3, 4, 6), (2, 3, 6);
+# - cycles of length 1 in a later pass (a_j ≡ 0 mod a1): (3, 4, 6), (2, 3, 6),
+#   (3, 5, 9);
 # - cycles with no value at all: (12, 16, 18, 27), where 16 and 18 reach only
 #   even residues and +18 splits the residues mod 12 into six cycles;
 # - several cycles of length > 1: (6, 10, 15), three on 15;
@@ -230,6 +232,7 @@ def _assert_walk_matches_scan(gens, p_max):
         ((2, 4, 5), 10),
         ((3, 4, 6), 12),
         ((2, 3, 6), 12),
+        ((3, 5, 9), 12),
         ((8, 21, 55), 4),
         ((8, 21, 55), 40),
         ((5, 6, 7), 2),
@@ -248,6 +251,13 @@ def test_walk_matches_dense_count_scan_on_family_triples():
     for kind, i in cases:
         for k in range(3, i + 6):
             _assert_walk_matches_scan(params(kind, i, k).gens, 6)
+
+
+def test_a_huge_third_generator_leaves_the_pair_levels():
+    # fib(19014) has 3,974 digits, far above every element of the pair's first
+    # levels, so it adds none there; its lap is stepped by count, not by value.
+    pair = [aset.elements for aset in apery_levels((fib(14), fib(16)), 2)]
+    assert [aset.elements for aset in apery_levels((fib(14), fib(16), fib(19014)), 2)] == pair
 
 
 def test_walk_refuses_over_budget_before_allocating():

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from froblab import cli, route, tables
+from froblab.apery import apery_levels
 from froblab.closed_forms import NotCoveredError, closed_g, params
 from froblab.denumerant import largest_with_exactly_p, p_frobenius_scan, p_sylvester_scan
 
@@ -253,20 +254,18 @@ def test_verify_grid_over_index_bound_is_refused_before_any_walk(capsys, monkeyp
     assert (code, out) == (2, "")
 
 
-def test_verify_grid_whose_rows_cannot_fit_is_refused_before_any_walk(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    # 21 triples * 200,001 levels * 2 quantities = 8,400,042 rows, each walk inside the budget
+    ("--what", "both", "--i", "3..5", "--k", "3..i+5", "--p", "0..200000"),
+    ("--i", "3..3", "--k", "3..3", "--p", "0..200000"),  # README's 200,001-row grid
+])
+def test_verify_grid_of_many_rows_reaches_its_first_walk(capsys, monkeypatch, argv):
+    # A report keeps counts and mismatches, not rows, so no row count is refused.
     def walked(*args):
         raise AssertionError("walked a triple")
 
     monkeypatch.setattr(route, "apery_levels", walked)
-    # each walk is inside the budget (the largest is charged 3,533,365), but the
-    # report would keep 21 triples * 200,001 levels * 2 quantities rows
-    code, out, err = run_cli(capsys, "verify", "--kind", "fib", "--what", "both", "--i", "3..5",
-                             "--k", "3..i+5", "--p", "0..200000", "--quiet")
-    assert (code, out) == (2, "")
-    assert err == ("froblab: the grid's 8400042 rows need 10*rows + the largest walk's 3533365 "
-                   "= 87533785, over the budget of 5000000\n")
-    # README's 200,001-row grid is admitted: it gets as far as its first walk
-    code, out, err = run_cli(capsys, "verify", "--i", "3..3", "--k", "3..3", "--p", "0..200000")
+    code, out, err = run_cli(capsys, "verify", *argv)
     assert (code, out, err) == (5, "", "froblab: internal error: walked a triple\n")
 
 
@@ -287,13 +286,37 @@ def test_largest_is_the_last_listed_triple(i_lo, i_hi, k_lo, k_hi):
     ]
 
 
+def _tally_of(rows):
+    """What a report counts, read off a list of rows by filters."""
+    covered = [r for r in rows if r.match is not None]
+    mismatches = [r for r in rows if r.match is False]
+    return {
+        "rows": len(rows),
+        "points": len({(r.kind, r.i, r.k, r.p) for r in rows}),
+        "covered": len(covered),
+        "matches": len(covered) - len(mismatches),
+        "mismatches": len(mismatches),
+        "verbatim_mismatches": sum(r.verbatim for r in mismatches),
+        "oracle_only": len(rows) - len(covered),
+    }, mismatches
+
+
 @given(st.integers(3, 12), st.integers(3, 12), _BOUNDS, _BOUNDS, st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
-def test_size_counts_the_rows_of_the_listed_grid(i_lo, i_hi, k_lo, k_hi, p_hi):
+def test_a_report_tallies_its_rows(i_lo, i_hi, k_lo, k_hi, p_hi):
     spec = cli.SweepSpec(("fib", "lucas"), i_lo, i_hi, k_lo, k_hi, 0, p_hi, ("g", "n"))
-    assert spec.size() == len(spec.triples()) * (p_hi + 1) * 2
     if spec.largest() is not None:
-        assert spec.size() == cli.run_sweep(spec).summary()["rows"]
+        rows = list(cli.run_sweep(spec))
+        report = cli.VerifyReport.of(rows)
+        assert (report.summary(), report.mismatches) == _tally_of(rows)
+        assert report.rows == len(spec.triples()) * (p_hi + 1) * 2
+
+
+@pytest.mark.parametrize("p_lo, p_hi, i_values", [(0, 6, range(3, 6)), (20, 24, range(3, 7))])
+def test_a_proposition_report_tallies_its_rows(p_lo, p_hi, i_values):
+    rows = cli.run_proposition(p_lo, p_hi, i_values)
+    report = cli.VerifyReport.of(rows)
+    assert (report.summary(), report.mismatches) == _tally_of(rows)
 
 
 def test_listing_stops_where_the_k_range_empties_for_good(capsys, monkeypatch):
@@ -467,6 +490,31 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert err == "froblab: internal error: invariant broke\n"
 
 
+def test_internal_error_ends_a_csv_after_the_rows_written_before_it(capsys, monkeypatch):
+    # CSV rows are written as they are made, so a walk that fails leaves the
+    # header and the rows of every triple before it; text and JSON write nothing.
+    real, walks = route.apery_levels, []
+
+    def second_breaks(gens, p_max):
+        walks.append(gens)
+        if len(walks) == 2:
+            raise AssertionError("invariant broke")
+        return real(gens, p_max)
+
+    monkeypatch.setattr(route, "apery_levels", second_breaks)
+    argv = ("verify", "--i", "3..3", "--k", "3..4", "--p", "0..1", "--quiet", "--format")
+    code, out, err = run_cli(capsys, *argv, "csv")
+    assert (code, err) == (5, "froblab: internal error: invariant broke\n")
+    assert out == (
+        "kind,i,k,p,r,ell,quantity,closed_value,oracle_value,case_tag,match\n"
+        "fib,3,3,0,0,1,g,,3,none/fib g: uncovered at i=3 k=3 p=0 (r=0),\n"
+        "fib,3,3,1,0,1,g,11,11,Thm2/k=i,true\n"
+    )
+    for fmt in ("text", "json"):
+        walks.clear()
+        assert run_cli(capsys, *argv, fmt)[:2] == (5, "")
+
+
 def test_verify_json_summary(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--kind", "both", "--i", "3..4", "--k", "3..4",
@@ -481,10 +529,10 @@ def test_verify_json_summary(capsys):
 
 def test_a_report_is_a_function_of_its_grid():
     spec = cli.SweepSpec(("fib", "lucas"), 3, 5, (None, 3), ("i", 2), 0, 3, ("g", "n"))
-    first = cli.run_sweep(spec)
-    assert first.rows and first == cli.run_sweep(spec)
-    first = cli.run_proposition(0, 6, range(3, 5))
-    assert first.rows and first == cli.run_proposition(0, 6, range(3, 5))
+    first = cli.VerifyReport.of(cli.run_sweep(spec))
+    assert first.rows and first == cli.VerifyReport.of(cli.run_sweep(spec))
+    first = cli.VerifyReport.of(cli.run_proposition(0, 6, range(3, 5)))
+    assert first.rows and first == cli.VerifyReport.of(cli.run_proposition(0, 6, range(3, 5)))
 
 
 def test_verify_rows_are_what_compute_answers_by_each_route(capsys):
@@ -613,6 +661,15 @@ def test_jobs_is_a_checked_verify_only_flag(capsys, argv):
 
 # ------------------------------------------------------------- one walk each
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_sweep_holds_one_walk_at_a_time():
     # 21 levels, so that each residue's list is a 21-tuple: the interpreter keeps up
     # to 2,000 freed tuples of each length under 21 for reuse, and tracemalloc counts
@@ -620,18 +677,22 @@ def test_sweep_holds_one_walk_at_a_time():
     # about 5% above that of its second walk alone.
     def peak(i_lo):
         # A sweep of another triple first, so that a walk kept from an earlier call
-        # cannot stand in for a measured one.
-        cli.run_sweep(cli.SweepSpec(("fib",), 3, 3, (None, 4), (None, 4), 0, 20, ("g",)))
-        tracemalloc.start()
-        try:
-            cli.run_sweep(cli.SweepSpec(("fib",), i_lo, 19, (None, 4), (None, 4), 0, 20, ("g",)))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # cannot stand in for a measured one. A sweep's rows are made as they are read.
+        list(cli.run_sweep(cli.SweepSpec(("fib",), 3, 3, (None, 4), (None, 4), 0, 20, ("g",))))
+        spec = cli.SweepSpec(("fib",), i_lo, 19, (None, 4), (None, 4), 0, 20, ("g",))
+        return _traced_peak(lambda: cli.VerifyReport.of(cli.run_sweep(spec)))
 
     # The i = 18 walk (a_1 = 2,584) is about 0.6 of the i = 19 one (a_1 = 4,181):
     # a sweep that kept it while building the next would peak about 1.5 times higher.
     assert peak(18) / peak(19) < 1.05
+
+
+def test_a_report_holds_no_rows_past_their_walk():
+    # 6 triples * 2,001 levels * 2 quantities = 24,012 rows, of which a report keeps
+    # the mismatches only. A report that kept every row peaked at 8.2 walks here.
+    spec = cli.SweepSpec(("fib",), 3, 3, (None, 3), (None, 8), 0, 2000, ("g", "n"))
+    walk = _traced_peak(lambda: apery_levels(params("fib", 3, 8).gens, 2000))
+    assert _traced_peak(lambda: cli.VerifyReport.of(cli.run_sweep(spec))) < 3 * walk
 
 
 @pytest.mark.parametrize("argv, paths", [

@@ -13,7 +13,7 @@ from froblab.closed_forms import (
     proposition_g,
     proposition_h,
 )
-from froblab.cli import SweepSpec, run_sweep
+from froblab.cli import SweepSpec, VerifyReport, run_sweep
 from froblab.denumerant import denumerant, p_frobenius_scan
 from froblab.generators import DegenerateTupleError
 from froblab.route import compute
@@ -56,11 +56,12 @@ def params_calls(monkeypatch):
 
 
 # A triple's params are resolved once, however many levels and quantities
-# read them: 3 triples at 5 levels and both quantities are 3 calls.
+# read them: 3 triples at 5 levels and both quantities are 3 calls.  A sweep's
+# rows are made as they are read, so the sweep is read to its end.
 @pytest.mark.parametrize(
     "call, want",
     [
-        (lambda: run_sweep(SweepSpec(("fib",), 6, 6, (None, 3), (None, 5), 0, 4, ("g", "n"))), 3),
+        (lambda: list(run_sweep(SweepSpec(("fib",), 6, 6, (None, 3), (None, 5), 0, 4, ("g", "n")))), 3),
         (lambda: cli.run(["compute", "--kind", "fib", "--i", "6", "--k", "4", "--p", "2"]), 1),
         (lambda: tables.build_table("fib", 6, 4, 2), 1),
     ],
@@ -288,19 +289,19 @@ def test_verbatim_flags_sit_exactly_where_intended():
 # ------------------------------------------------------------- the big sweep
 
 def test_oracle_equivalence_fib_g():
-    report = run_sweep(SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("g",)))
+    report = VerifyReport.of(run_sweep(SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("g",))))
     assert report.mismatches == []
-    assert len(report.covered) == 407  # frozen: regression guard on coverage
+    assert report.covered == 407  # frozen: regression guard on coverage
 
 
 def test_oracle_equivalence_lucas_g():
-    report = run_sweep(SweepSpec(("lucas",), 3, 10, (None, 3), ("i", 5), 0, 3, ("g",)))
+    report = VerifyReport.of(run_sweep(SweepSpec(("lucas",), 3, 10, (None, 3), ("i", 5), 0, 3, ("g",))))
     assert report.mismatches == []
-    assert report.oracle_only == []  # the four Lucas levels are fully covered
+    assert report.covered == report.rows  # the four Lucas levels are fully covered
 
 
 def test_oracle_equivalence_fib_n_reports_verbatim_branches():
-    report = run_sweep(SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("n",)))
+    report = VerifyReport.of(run_sweep(SweepSpec(("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("n",))))
     assert [r for r in report.mismatches if not r.verbatim] == []
     tags = {r.case_tag for r in report.verbatim_mismatches}
     assert tags == {"N3/k=i+1", "N3/k=i+2"}

@@ -44,7 +44,7 @@ RECORDS = [
         (("lucas",), 4, 6, (None, 3), ("i", 2), 1, 3, ("n",)),
         ("kinds", "i_lo", "i_hi", "k_lo", "k_hi", "p_lo", "p_hi", "quantities"),
     ),
-    (VerifyReport, ([],), ("rows",)),
+    (VerifyReport, (24, 12, 22, []), ("rows", "points", "covered", "mismatches")),
     (
         Row,
         ("fib", 6, 4, 2, 2, 1, "g", 1170, 1170, "Thm3/general", True, False),
@@ -81,7 +81,8 @@ def test_generator_tuple_is_immutable():
 
 def test_defaults_are_unchanged():
     assert CaseTag("Thm2", "k=i").verbatim is False
-    assert VerifyReport._fields == ("rows",)  # no wall time: a report is a function of its grid
+    # no wall time: a report is a function of its grid
+    assert VerifyReport._fields == ("rows", "points", "covered", "mismatches")
     assert SweepSpec() == SweepSpec(
         ("fib",), 3, 12, (None, 3), ("i", 5), 0, 4, ("g",)
     )
